@@ -3,22 +3,21 @@
 numpy arrays hold the data; every differentiable op records a closure that
 scatters upstream gradients back to its inputs.  float32 is the working
 precision for training and inference, float64 exists for gradient checking.
-Ops are pure functions over immutable inputs; in the default deterministic
-mode every reduction runs in a fixed order, so equal seeds give bitwise
-equal results.  An opt-in parallel mode splits large convolutions over a
-thread pool (disjoint output blocks, so results stay within float rounding
-of the deterministic mode).
+Ops are pure functions over immutable inputs; every reduction runs in a
+fixed order, so equal seeds give bitwise equal results.  Convolution has one
+code path, an im2col-GEMM whose single patch layout serves forward and
+backward (see `conv2d`); backward re-extracts the patches from the input
+instead of keeping the kh*kw times larger patch buffer on the tape.  The
+only threads are those of the BLAS library behind `np.matmul`.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
 
 _grad_enabled = True
-_workers: ThreadPoolExecutor | None = None
 
 
 def grad_enabled() -> bool:
@@ -38,13 +37,16 @@ def no_grad():
 
 
 def set_parallel(num_workers: int = 0) -> None:
-    """Enable the opt-in parallel mode with `num_workers` threads (0 = off)."""
-    global _workers
-    if _workers is not None:
-        _workers.shutdown(wait=True)
-        _workers = None
-    if num_workers > 0:
-        _workers = ThreadPoolExecutor(max_workers=num_workers)
+    """Accept 0, the only mode there is; any other worker count is an error.
+
+    The name stays for existing importers.  conv2d no longer splits batches
+    over a thread pool: the BLAS library already uses every core.
+    """
+    if num_workers != 0:
+        raise ValueError(
+            f"set_parallel({num_workers!r}): conv2d no longer splits batches over threads "
+            "and OpenBLAS already uses every core; only 0 is accepted"
+        )
 
 
 class Tensor:
@@ -297,7 +299,7 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     if not isinstance(a, Tensor):
         a = _wrap(a, b)
-    if not isinstance(b, Tensor):
+    if np.isscalar(b):
         s = float(b)
         out_data = a.data * s
 
@@ -305,6 +307,7 @@ def mul(a, b) -> Tensor:
             _accum(a, g * s)
 
         return _make(out_data, (a,), bw_s)
+    b = _wrap(b, a)
     out_data = a.data * b.data
 
     def bw(g):
@@ -317,8 +320,9 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     if not isinstance(a, Tensor):
         a = _wrap(a, b)
-    if not isinstance(b, Tensor):
+    if np.isscalar(b):
         return mul(a, 1.0 / float(b))
+    b = _wrap(b, a)
     out_data = a.data / b.data
 
     def bw(g):
@@ -483,12 +487,17 @@ def getitem(a: Tensor, key) -> Tensor:
     out_data = a.data[key]
     if np.isscalar(out_data) or out_data.ndim == 0:
         out_data = np.asarray(out_data, dtype=a.dtype)
+    # only list/array keys can repeat an element; np.add.at is ~10x slower than +=
+    fancy = any(isinstance(k, (list, np.ndarray)) for k in (key if isinstance(key, tuple) else (key,)))
 
     def bw(g):
         if a.requires_grad:
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            a.grad[key] += g
+            if fancy:
+                np.add.at(a.grad, key, g)
+            else:
+                a.grad[key] += g
 
     return _make(out_data, (a,), bw)
 
@@ -624,19 +633,18 @@ def _conv_shape_check(x, w, stride, padding, groups):
         )
 
 
-def _im2col(xp, kh, kw, stride, oh, ow):
+def _im2col(xp, kh, kw, stride, oh, ow, groups):
+    """Patches of padded NCHW `xp` as a (N, G, Cg*kh*kw, OH*OW) GEMM operand.
+
+    The buffer is filled as (N, C, kh, kw, OH, OW), whose row-major order is
+    already the grouped GEMM layout, so the final reshape does not copy.
+    """
     n, c = xp.shape[:2]
     cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols
-
-
-def _conv2d_dense_fwd(xp, w, stride, oh, ow):
-    cols = _im2col(xp, w.shape[2], w.shape[3], stride, oh, ow)
-    y = np.tensordot(cols, w, axes=((1, 2, 3), (1, 2, 3)))  # (N, OH, OW, O)
-    return np.ascontiguousarray(np.moveaxis(y, 3, 1))
+    return cols.reshape(n, groups, -1, oh * ow)
 
 
 def conv2d(
@@ -649,8 +657,13 @@ def conv2d(
 ) -> Tensor:
     """2-D cross-correlation over NCHW input with OIHW weights.
 
-    groups == in-channels gives a depthwise convolution.  The input (not the
-    im2col buffer) is kept for backward; patches are re-extracted there.
+    One im2col-GEMM path serves dense, strided, grouped and depthwise
+    (groups == in-channels) convolution: groups are a batch dim of `matmul`
+    over the patch layout of `_im2col`, and the (N, G, Og, OH*OW) product is
+    the NCHW output with no transpose.  Backward uses the same layout for the
+    weight gradient and for the patch gradient, which col2im scatters back.
+    The tape keeps the input, not the patch buffer (kh*kw times larger), and
+    backward re-extracts the patches from it.
     """
     _conv_shape_check(x.data, weight.data, stride, padding, groups)
     n, c, h, wd = x.data.shape
@@ -658,61 +671,25 @@ def conv2d(
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
     oh = (xp.shape[2] - kh) // stride + 1
     ow = (xp.shape[3] - kw) // stride + 1
+    w2 = weight.data.reshape(groups, o // groups, -1)
 
-    depthwise = groups == c and o == c
-    if depthwise:
-        out_data = np.zeros((n, o, oh, ow), dtype=x.dtype)
-        wd_ = weight.data
-        for i in range(kh):
-            for j in range(kw):
-                out_data += xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] * wd_[:, 0, i, j][None, :, None, None]
-    elif groups == 1:
-        if _workers is not None and n > 1:
-            parts = list(_workers.map(lambda xi: _conv2d_dense_fwd(xi[None], weight.data, stride, oh, ow), xp))
-            out_data = np.concatenate(parts, axis=0)
-        else:
-            out_data = _conv2d_dense_fwd(xp, weight.data, stride, oh, ow)
-    else:
-        cg, og = c // groups, o // groups
-        out_data = np.empty((n, o, oh, ow), dtype=x.dtype)
-        for gi in range(groups):
-            out_data[:, gi * og : (gi + 1) * og] = _conv2d_dense_fwd(
-                xp[:, gi * cg : (gi + 1) * cg], weight.data[gi * og : (gi + 1) * og], stride, oh, ow
-            )
+    out_data = np.matmul(w2, _im2col(xp, kh, kw, stride, oh, ow, groups)).reshape(n, o, oh, ow)
     if bias is not None:
         out_data += bias.data[None, :, None, None]
 
     def bw(g):
-        gxp = np.zeros_like(xp) if x.requires_grad else None
-        gw = np.zeros_like(weight.data) if weight.requires_grad else None
-        if depthwise:
+        gy = g.reshape(n, groups, o // groups, oh * ow)
+        if weight.requires_grad:
+            cols = _im2col(xp, kh, kw, stride, oh, ow, groups)
+            _accum(weight, np.matmul(gy, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(weight.data.shape))
+            del cols  # freed before gcols is allocated, so only one patch buffer is alive
+        if x.requires_grad:
+            gcols = np.matmul(w2.transpose(0, 2, 1), gy).reshape(n, c, kh, kw, oh, ow)
+            gxp = np.zeros_like(xp)
             for i in range(kh):
                 for j in range(kw):
-                    sl = np.s_[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-                    if gw is not None:
-                        gw[:, 0, i, j] = (g * xp[sl]).sum(axis=(0, 2, 3))
-                    if gxp is not None:
-                        gxp[sl] += g * weight.data[:, 0, i, j][None, :, None, None]
-        else:
-            cg, og = c // groups, o // groups
-            for gi in range(groups):
-                wsl = slice(gi * og, (gi + 1) * og)
-                csl = slice(gi * cg, (gi + 1) * cg)
-                cols = _im2col(xp[:, csl], kh, kw, stride, oh, ow)
-                gy = g[:, wsl]
-                if gw is not None:
-                    gw[wsl] = np.tensordot(gy, cols, axes=((0, 2, 3), (0, 4, 5)))
-                if gxp is not None:
-                    gcols = np.tensordot(gy, weight.data[wsl], axes=((1,), (0,)))  # (N,OH,OW,Cg,kh,kw)
-                    gcols = np.moveaxis(gcols, (1, 2), (4, 5))
-                    for i in range(kh):
-                        for j in range(kw):
-                            gxp[:, csl, i : i + stride * oh : stride, j : j + stride * ow : stride] += gcols[:, :, i, j]
-        if gxp is not None:
-            gx = gxp[:, :, padding : padding + h, padding : padding + wd] if padding else gxp
-            _accum(x, gx)
-        if gw is not None:
-            _accum(weight, gw)
+                    gxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += gcols[:, :, i, j]
+            _accum(x, gxp[:, :, padding : padding + h, padding : padding + wd] if padding else gxp)
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3)))
 

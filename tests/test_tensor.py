@@ -1,8 +1,10 @@
-"""Forward-value tests for the tensor engine against independent oracles."""
+"""Tests of the tensor engine: forward values against independent oracles,
+and tape gradients against the finite-difference oracle in helpers."""
 
 import numpy as np
 import pytest
 
+from helpers import check_gradients
 from semidense import tensor as T
 from semidense.tensor import Tensor
 
@@ -57,14 +59,18 @@ class TestConv2d:
         ref = conv2d_loops(x, w, padding=0)
         np.testing.assert_allclose(y.data, ref, atol=1e-6)
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (2, 0)])
-    def test_strides_and_padding(self, stride, padding):
+    @pytest.mark.parametrize(
+        "stride,padding,groups",
+        [(1, 0, 1), (1, 1, 1), (2, 1, 1), (2, 0, 1), (2, 1, 2)],
+        ids=["1-0", "1-1", "2-1", "2-0", "2-1-grouped"],
+    )
+    def test_strides_and_padding(self, stride, padding, groups):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(2, 3, 7, 6))
-        w = rng.normal(size=(4, 3, 3, 3))
+        x = rng.normal(size=(2, 4, 7, 6))
+        w = rng.normal(size=(4, 4 // groups, 3, 3))
         b = rng.normal(size=4)
-        y = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
-        ref = conv2d_loops(x, w, b, stride=stride, padding=padding)
+        y = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding, groups=groups)
+        ref = conv2d_loops(x, w, b, stride=stride, padding=padding, groups=groups)
         np.testing.assert_allclose(y.data, ref, atol=1e-9)
 
     def test_depthwise_equals_per_channel(self):
@@ -87,6 +93,34 @@ class TestConv2d:
         y = T.conv2d(Tensor(x), Tensor(w), padding=1, groups=2)
         ref = conv2d_loops(x, w, padding=1, groups=2)
         np.testing.assert_allclose(y.data, ref, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "cin,cout,k,stride,padding,groups,bias",
+        [
+            (3, 4, 3, 1, 0, 1, True),
+            (3, 4, 3, 1, 1, 1, False),
+            (3, 4, 3, 2, 1, 1, True),
+            (3, 4, 3, 2, 0, 1, False),
+            (3, 5, 1, 1, 0, 1, True),
+            (4, 6, 3, 1, 1, 2, True),
+            (4, 4, 3, 2, 1, 2, False),
+            (4, 4, 3, 1, 1, 4, False),
+            (4, 4, 3, 2, 1, 4, True),
+        ],
+    )
+    def test_gradients(self, cin, cout, k, stride, padding, groups, bias):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(2, cin, 5, 6))
+        w = rng.normal(size=(cout, cin // groups, k, k))
+        oh = (5 + 2 * padding - k) // stride + 1
+        ow = (6 + 2 * padding - k) // stride + 1
+        r = rng.normal(size=(2, cout, oh, ow))  # fixed weights, so no symmetry hides an error
+        arrays = [x, w] + ([rng.normal(size=cout)] if bias else [])
+
+        def loss(x, w, b=None):
+            return (T.conv2d(x, w, b, stride=stride, padding=padding, groups=groups) * r).sum()
+
+        check_gradients(loss, arrays)
 
     def test_shape_errors(self):
         x = Tensor(np.zeros((1, 3, 4, 4)))
@@ -131,7 +165,7 @@ class TestBatchNorm:
             Tensor(x), np.zeros(3), np.ones(3),
             Tensor(np.ones(3)), Tensor(np.zeros(3)), training=False,
         )
-        np.testing.assert_allclose(y.data, x, atol=1e-5)
+        np.testing.assert_allclose(y.data, x / np.sqrt(1.0 + 1e-5), rtol=1e-12, atol=0)
 
     def test_training_constant_input_gives_beta(self):
         x = Tensor(np.full((2, 3, 4, 4), 7.0))
@@ -273,12 +307,45 @@ class TestGatherAndShape:
         sl = c[2:4]
         np.testing.assert_allclose(sl.data, 0.0)
 
+    def test_getitem_repeated_index_accumulates(self):
+        x = Tensor(np.arange(3, dtype=np.float64), requires_grad=True)
+        x[[0, 0, 2]].sum().backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0])
+
+    def test_getitem_gradients(self):
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(3, 4))
+        r = rng.normal(size=(3, 3))
+        check_gradients(lambda x: (x[:, [1, 3, 1]] * r).sum() + x[1:, 2].sum(), [x])
+
     def test_matmul_batched(self):
         rng = np.random.default_rng(12)
         a = rng.normal(size=(3, 4, 5))
         b = rng.normal(size=(3, 5, 2))
         y = T.matmul(Tensor(a), Tensor(b))
         np.testing.assert_allclose(y.data, a @ b, atol=1e-9)
+
+
+class TestArithmeticWithArrays:
+    @pytest.mark.parametrize("op", [T.mul, T.div])
+    @pytest.mark.parametrize("xs,bs", [((3, 4), (4,)), ((4,), (3, 4)), ((2, 1, 4), (3, 1))])
+    def test_ndarray_operand_broadcast_gradients(self, op, xs, bs):
+        rng = np.random.default_rng(16)
+        b = rng.uniform(0.5, 2.0, size=bs)
+        r = rng.normal(size=np.broadcast_shapes(xs, bs))
+        check_gradients(lambda x: (op(x, b) * r).sum(), [rng.normal(size=xs)])
+
+    def test_ndarray_operand_value_and_dtype(self):
+        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32))
+        b = np.array([2.0, 4.0])
+        np.testing.assert_array_equal(T.mul(x, b).data, x.data * b)
+        np.testing.assert_array_equal(T.div(x, b).data, (x.data / b).astype(np.float32))
+        assert T.mul(x, b).dtype == np.float32
+
+    def test_scalars_keep_fast_path(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        for y in (-x, x * np.float32(3.0), x / 2):
+            assert y._parents == (x,)
 
 
 class TestDeterminismAndParallel:
@@ -293,14 +360,9 @@ class TestDeterminismAndParallel:
         a, b = run(), run()
         assert np.array_equal(a, b)
 
-    def test_parallel_mode_agrees(self):
-        rng = np.random.default_rng(13)
-        x = Tensor(rng.normal(size=(4, 3, 16, 16)).astype(np.float32))
-        w = Tensor(rng.normal(size=(8, 3, 3, 3)).astype(np.float32))
-        base = T.conv2d(x, w, padding=1).data
-        T.set_parallel(2)
-        try:
-            par = T.conv2d(x, w, padding=1).data
-        finally:
-            T.set_parallel(0)
-        np.testing.assert_allclose(par, base, rtol=1e-5)
+    def test_set_parallel_accepts_only_zero(self):
+        T.set_parallel(0)
+        T.set_parallel()
+        for n in (1, 2, -1):
+            with pytest.raises(ValueError, match="no longer splits batches"):
+                T.set_parallel(n)
