@@ -6,9 +6,9 @@ coarse matching on the 1/8 grid, and a bidirectional per-axis regression head
 for subpixel refinement, trainable end-to-end on synthetic homography pairs.
 """
 
-from .tensor import Tensor, no_grad, set_parallel
+from .tensor import Tensor, no_grad
 from .config import Config
 
-__all__ = ["Tensor", "no_grad", "set_parallel", "Config"]
+__all__ = ["Tensor", "no_grad", "Config"]
 
 __version__ = "0.1.0"

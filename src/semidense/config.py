@@ -1,8 +1,12 @@
 """Run configuration: model widths, matching thresholds, training schedule.
 
-Values load from a flat ``key = value`` text file with ``[section]`` headers;
-every key can also be overridden by a CLI flag of the same name.  The seed is
-additionally overridable through the SEMIDENSE_SEED environment variable.
+A config file holds ``key = value`` lines under ``[section]`` headers.  A
+field's section is that of the nearest field at or above it that opens one
+(``_SECTION_STARTS``); an unknown header, or a key under another section's
+header, is an error.  ``load_config`` layers defaults < file <
+``SEMIDENSE_SEED`` < overrides, and ``Config()`` reads no environment.  Every
+value goes through ``_parse``, whose errors name the key and its source.  The
+dict round trip is ``load_config(overrides=dataclasses.asdict(cfg))``.
 """
 
 from __future__ import annotations
@@ -65,24 +69,29 @@ class Config:
     jitter_noise: float = 0.01
 
     def __post_init__(self):
-        env_seed = os.environ.get("SEMIDENSE_SEED")
-        if env_seed is not None:
-            self.seed = int(env_seed)
         self.validate()
 
     def validate(self):
-        if len(self.channels) != 5:
-            raise ValueError(f"channel plan needs 5 entries, got {len(self.channels)}")
-        if self.image_size % 32:
-            raise ValueError(f"image_size {self.image_size} must be divisible by 32")
-        if self.channels[4] % self.heads:
-            raise ValueError(f"heads {self.heads} must divide model width {self.channels[4]}")
-        if self.num_layers < 0 or self.attn_scale <= 0 or self.tau <= 0:
-            raise ValueError("num_layers >= 0, attn_scale > 0 and tau > 0 required")
-        if self.scc_bins < 2:
-            raise ValueError("scc_bins must be at least 2")
-        if self.injection not in ("gated", "sum"):
-            raise ValueError(f"unknown injection mode '{self.injection}'")
+        """Raise ValueError naming the first field that breaks its rule."""
+
+        def need(ok: bool, name: str, rule: str):
+            if not ok:
+                raise ValueError(f"config {name} = {getattr(self, name)!r}: {rule}")
+
+        need(len(self.channels) == 5, "channels", "the channel plan needs 5 entries")
+        need(self.image_size > 0 and self.image_size % 32 == 0, "image_size", "must be a positive multiple of 32")
+        need(self.heads > 0 and self.channels[4] % self.heads == 0, "heads", "must divide the model width channels[4]")
+        need(self.num_layers >= 0, "num_layers", "must be >= 0")
+        need(self.attn_scale > 0, "attn_scale", "must be > 0")
+        need(self.scc_bins >= 2, "scc_bins", "must be >= 2")
+        need(self.injection in ("gated", "sum"), "injection", "must be 'gated' or 'sum'")
+        need(self.topk >= 1, "topk", "must be >= 1")
+        need(self.tau > 0, "tau", "must be > 0")
+        need(0 <= self.theta_c <= 1, "theta_c", "must be in [0, 1]")
+        need(self.theta_f >= 0, "theta_f", "must be >= 0")
+        need(self.lr > 0, "lr", "must be > 0")
+        need(self.batch_size >= 1, "batch_size", "must be >= 1")
+        need(self.epochs >= 1, "epochs", "must be >= 1")
 
     @property
     def model_dim(self) -> int:
@@ -93,83 +102,71 @@ class Config:
         return self.channels[4] // self.heads
 
 
-_SECTIONS = {
-    "model": ["channels", "num_layers", "attn_scale", "heads", "rope_base", "scc_bins", "flow_blocks", "injection"],
-    "matching": ["topk", "tau", "theta_c", "theta_f"],
-    "loss": ["focal_alpha", "focal_gamma", "lambda_c", "lambda_f", "pad_matches"],
-    "training": [
-        "lr", "weight_decay", "batch_size", "epochs", "warmup_epochs", "decay_start_epoch",
-        "decay_every_epochs", "decay_factor", "grad_clip", "eval_every",
-        "early_stop_precision", "early_stop_epe",
-    ],
-    "data": [
-        "seed", "image_size", "train_pairs", "val_pairs", "warp_rot_deg", "warp_scale",
-        "warp_trans_px", "warp_persp", "jitter_brightness", "jitter_contrast", "jitter_noise",
-    ],
-}
+# the field that opens each section, in file order
+_SECTION_STARTS = {"channels": "model", "topk": "matching", "focal_alpha": "loss", "lr": "training", "seed": "data"}
+_DEFAULTS = dataclasses.asdict(Config())
+_SECTION_OF, _section = {}, None
+for _name in _DEFAULTS:
+    _section = _SECTION_OF[_name] = _SECTION_STARTS.get(_name, _section)
 
 
-def _parse_value(name: str, raw: str, current):
-    raw = raw.strip()
-    if name == "channels":
-        return [int(v) for v in raw.replace("[", "").replace("]", "").split(",") if v.strip()]
-    kind = type(current)
-    if kind is bool:
-        return raw.lower() in ("1", "true", "yes", "on")
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    return raw
+def _parse(key: str, value, where: str):
+    """Return `value` checked for field `key`; a string is parsed by the default's type.
+
+    list fields take comma-separated ints; an int field rejects a float, and
+    a float field stores an int as a float.  `where` names the source.
+    """
+    if key not in _DEFAULTS:
+        raise ValueError(f"{where}: unknown config key '{key}'")
+    kind = type(_DEFAULTS[key])
+    try:
+        if isinstance(value, str) and kind is not str:
+            value = [int(v) for v in value.split(",")] if kind is list else kind(value)
+        if kind is float and type(value) is int:
+            value = float(value)
+        if type(value) is kind and (kind is not list or all(type(v) is int for v in value)):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{where}: config key '{key}' expects {kind.__name__}, got {value!r}")
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> Config:
-    """Build a Config from an optional file plus explicit overrides."""
-    cfg = Config()
-    fields = {f.name: f for f in dataclasses.fields(Config)}
+    """Build a Config from defaults < file < SEMIDENSE_SEED < overrides."""
+    values = {}
     if path is not None:
+        section = None
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
+                where = f"{path}:{lineno}"
                 line = line.split("#", 1)[0].strip()
-                if not line or line.startswith("["):
+                if line.startswith("[") and line.endswith("]"):
+                    section = line[1:-1].strip()
+                    if section not in _SECTION_STARTS.values():
+                        raise ValueError(f"{where}: unknown config section '[{section}]'")
                     continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected 'key = value', got '{line}'")
-                key, raw = (part.strip() for part in line.split("=", 1))
-                if key not in fields:
-                    raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
-                setattr(cfg, key, _parse_value(key, raw, getattr(cfg, key)))
+                if not line:
+                    continue
+                key, eq, raw = (part.strip() for part in line.partition("="))
+                if not eq:
+                    raise ValueError(f"{where}: expected 'key = value', got '{line}'")
+                value = _parse(key, raw, where)
+                if section not in (None, _SECTION_OF[key]):
+                    raise ValueError(f"{where}: config key '{key}' belongs in [{_SECTION_OF[key]}], not [{section}]")
+                values[key] = value
+    env_seed = os.environ.get("SEMIDENSE_SEED")
+    if env_seed is not None:
+        values["seed"] = _parse("seed", env_seed, "SEMIDENSE_SEED")
     for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key not in fields:
-            raise ValueError(f"unknown config key '{key}'")
-        if isinstance(value, str):
-            value = _parse_value(key, value, getattr(cfg, key))
-        setattr(cfg, key, value)
-    cfg.validate()
-    return cfg
+        values[key] = _parse(key, value, "override")
+    return Config(**values)
 
 
 def save_config(cfg: Config, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for section, keys in _SECTIONS.items():
-            fh.write(f"[{section}]\n")
-            for key in keys:
-                value = getattr(cfg, key)
-                if key == "channels":
-                    value = ",".join(str(c) for c in value)
-                fh.write(f"{key} = {value}\n")
-            fh.write("\n")
-
-
-def config_to_dict(cfg: Config) -> dict:
-    return dataclasses.asdict(cfg)
-
-
-def config_from_dict(d: dict) -> Config:
-    cfg = Config()
-    for key, value in d.items():
-        setattr(cfg, key, value)
-    cfg.validate()
-    return cfg
+        for key, value in dataclasses.asdict(cfg).items():
+            if key in _SECTION_STARTS:
+                fh.write(f"\n[{_SECTION_STARTS[key]}]\n")
+            if isinstance(value, list):
+                value = ",".join(str(c) for c in value)
+            fh.write(f"{key} = {value}\n")

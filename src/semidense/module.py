@@ -61,21 +61,20 @@ class Module:
         return state
 
     def load_state_dict(self, state: dict, prefix: str = "") -> None:
-        own = {name: p for name, p in self.named_parameters(prefix)}
-        for name, p in own.items():
-            if name not in state:
-                raise KeyError(f"missing parameter '{name}' in state dict")
-            arr = state[name]
-            if arr.shape != p.data.shape:
-                raise ValueError(f"shape mismatch for '{name}': {arr.shape} vs {p.data.shape}")
-            p.data = np.ascontiguousarray(arr.astype(p.data.dtype, copy=False))
-        for name, buf in list(self.named_buffers(prefix)):
-            if name not in state:
-                raise KeyError(f"missing buffer '{name}' in state dict")
-            arr = state[name]
-            if arr.shape != buf.shape:
-                raise ValueError(f"shape mismatch for buffer '{name}': {arr.shape} vs {buf.shape}")
-            buf[...] = arr
+        """Copy `state` into the own parameter and buffer arrays in place.
+
+        The keys must be exactly those of `state_dict()` with equal shapes;
+        nothing is written unless all match, and no array aliases `state`.
+        """
+        own = self.state_dict(prefix)
+        missing, unexpected = sorted(own.keys() - state.keys()), sorted(state.keys() - own.keys())
+        if missing or unexpected:
+            raise KeyError(f"state dict keys differ: missing {missing}, unexpected {unexpected}")
+        wrong = {k: (np.shape(state[k]), own[k].shape) for k in own if np.shape(state[k]) != own[k].shape}
+        if wrong:
+            raise ValueError(f"state dict shape mismatch, (given, own) by key: {wrong}")
+        for name, dst in own.items():
+            dst[...] = state[name]
 
     def train(self, mode: bool = True):
         object.__setattr__(self, "training", mode)

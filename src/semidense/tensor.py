@@ -67,7 +67,7 @@ class Tensor:
             arr = arr.astype(dtype, copy=False)
         elif arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
-        self.data = np.ascontiguousarray(arr)
+        self.data = np.asarray(arr, order="C")  # ascontiguousarray would turn 0-d into (1,)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
@@ -524,15 +524,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         bad = idx[(idx < 0) | (idx >= n)][0]
         raise IndexError(f"gather_rows index {bad} out of range for {n} rows")
-    out_data = a.data[idx]
-
-    def bw(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, idx, g)
-
-    return _make(out_data, (a,), bw)
+    return getitem(a, idx)
 
 
 # ---------------------------------------------------------------------------

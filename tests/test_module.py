@@ -1,0 +1,86 @@
+"""Tests of the module tree's state dict: strict keys and shapes, in-place
+copies that never alias the caller's arrays, and batchnorm buffers."""
+
+import numpy as np
+import pytest
+
+from semidense import tensor as T
+from semidense.module import BatchNorm2d, Conv2d, Linear, Module
+from semidense.tensor import Tensor
+
+
+class Net(Module):
+    def __init__(self, seed):
+        super().__init__()
+        rng = np.random.default_rng(seed)
+        self.conv = Conv2d(2, 3, 3, rng, padding=1)
+        self.bn = BatchNorm2d(3)
+        self.a = Linear(3, 4, rng)
+
+    def __call__(self, x):
+        y = T.relu(self.bn(self.conv(x)))
+        return self.a(y.mean(axis=(2, 3)))
+
+
+def copied_state(net):
+    return {k: v.copy() for k, v in net.state_dict().items()}
+
+
+def test_round_trip():
+    src, dst = Net(0), Net(1)
+    dst.load_state_dict(copied_state(src))
+    for (name, a), b in zip(src.state_dict().items(), dst.state_dict().values()):
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    x = Tensor(np.random.default_rng(2).normal(size=(2, 2, 5, 5)))
+    np.testing.assert_array_equal(src.eval()(x).data, dst.eval()(x).data)
+
+
+def test_missing_key_named():
+    net = Net(0)
+    state = copied_state(net)
+    del state["conv.weight"], state["bn.running_var"]
+    with pytest.raises(KeyError, match=r"missing \['bn.running_var', 'conv.weight'\]"):
+        net.load_state_dict(state)
+
+
+def test_unexpected_key_named():
+    net = Net(0)
+    state = copied_state(net)
+    state["b.weight"] = np.zeros((4, 3), dtype=np.float32)
+    with pytest.raises(KeyError, match=r"unexpected \['b.weight'\]"):
+        net.load_state_dict(state)
+
+
+def test_shape_mismatch_named_and_nothing_written():
+    net = Net(0)
+    before = copied_state(net)
+    state = {k: v + 1 for k, v in before.items()}
+    state["a.bias"] = np.zeros(5, dtype=np.float32)
+    with pytest.raises(ValueError, match="'a.bias'"):
+        net.load_state_dict(state)
+    for name, value in net.state_dict().items():
+        np.testing.assert_array_equal(value, before[name], err_msg=name)
+
+
+def test_load_does_not_alias_caller_arrays():
+    net = Net(0)
+    state = copied_state(Net(1))
+    snapshot = copied_state(Net(1))
+    net.load_state_dict(state)
+    for name, value in net.state_dict().items():
+        assert not np.shares_memory(value, state[name]), name
+    for p in net.parameters():
+        p.data -= 1.0  # an in-place optimizer step
+    for name in state:
+        np.testing.assert_array_equal(state[name], snapshot[name], err_msg=name)
+
+
+def test_batchnorm_buffers_restored():
+    src, dst = Net(0), Net(0)
+    src(Tensor(np.random.default_rng(3).normal(loc=2.0, size=(2, 2, 5, 5))))  # training step moves the stats
+    assert not np.allclose(src.bn.running_mean, dst.bn.running_mean)
+    running_mean = dst.bn.running_mean
+    dst.load_state_dict(copied_state(src))
+    assert dst.bn.running_mean is running_mean
+    np.testing.assert_array_equal(dst.bn.running_mean, src.bn.running_mean)
+    np.testing.assert_array_equal(dst.bn.running_var, src.bn.running_var)

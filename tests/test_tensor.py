@@ -3,6 +3,9 @@ and tape gradients against the finite-difference oracle in helpers."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from helpers import check_gradients
 from semidense import tensor as T
@@ -346,6 +349,114 @@ class TestArithmeticWithArrays:
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         for y in (-x, x * np.float32(3.0), x / 2):
             assert y._parents == (x,)
+
+
+_rng = np.random.default_rng(17)
+
+
+def _normal(*shape):
+    return _rng.normal(size=shape)
+
+
+def _positive(*shape):
+    return _rng.uniform(0.5, 2.0, size=shape)
+
+
+# (id, op, inputs): each op's tape gradient is checked against finite differences
+GRAD_CASES = [
+    ("add-broadcast", lambda a, b: a + b, [_normal(3, 1, 4), _normal(2, 4)]),
+    ("sub-broadcast", lambda a, b: a - b, [_normal(2, 4), _normal(3, 1, 4)]),
+    ("mul-broadcast", lambda a, b: a * b, [_normal(3, 1, 4), _normal(2, 1)]),
+    ("div-broadcast", lambda a, b: a / b, [_normal(2, 1), _positive(3, 1, 4)]),
+    ("radd-rmul-scalar", lambda x: 2.0 + 3.0 * x, [_normal(3, 4)]),
+    ("rsub-scalar", lambda x: 2.0 - x, [_normal(3, 4)]),
+    ("rdiv-scalar", lambda x: 3.0 / x, [_positive(3, 4)]),
+    ("neg", lambda x: -x, [_normal(3, 4)]),
+    ("pow-2", lambda x: x**2, [_normal(3, 4)]),
+    ("pow-neg-half", lambda x: x**-0.5, [_positive(3, 4)]),
+    ("exp", T.exp, [_normal(3, 4)]),
+    ("log", T.log, [_positive(3, 4)]),
+    ("sqrt", T.sqrt, [_positive(3, 4)]),
+    ("abs", T.tabs, [_normal(3, 4)]),
+    ("tanh", T.tanh, [_normal(3, 4)]),
+    ("sigmoid", T.sigmoid, [3.0 * _normal(3, 4)]),
+    ("relu", T.relu, [_normal(3, 4)]),
+    ("clip", lambda x: T.clip(x, -0.5, 0.5), [_normal(3, 4)]),
+    ("clamp_min", lambda x: T.clamp_min(x, 0.1), [_normal(3, 4)]),
+    ("sum-all", lambda x: x.sum(), [_normal(2, 3, 4)]),
+    ("sum-axis-tuple", lambda x: x.sum(axis=(0, 2)), [_normal(2, 3, 4)]),
+    ("sum-neg-axes", lambda x: x.sum(axis=(0, -1)), [_normal(2, 3, 4)]),
+    ("sum-neg-axis-keepdims", lambda x: x.sum(axis=-2, keepdims=True), [_normal(2, 3, 4)]),
+    ("mean-all", lambda x: x.mean(), [_normal(2, 3, 4)]),
+    ("mean-axis-tuple-neg", lambda x: x.mean(axis=(1, -1)), [_normal(2, 3, 4)]),
+    ("mean-keepdims", lambda x: x.mean(axis=(0, 2), keepdims=True), [_normal(2, 3, 4)]),
+    ("reshape", lambda x: x.reshape(4, -1), [_normal(2, 3, 4)]),
+    ("transpose-axes", lambda x: x.transpose(2, 0, 1), [_normal(2, 3, 4)]),
+    ("transpose-reverse", lambda x: x.transpose(), [_normal(2, 3, 4)]),
+    ("matmul-broadcast", T.matmul, [_normal(2, 1, 3, 4), _normal(3, 4, 2)]),
+    ("linear-3d", T.linear, [_normal(2, 3, 4), _normal(5, 4), _normal(5)]),
+    ("softmax-axis0", lambda x: T.softmax(x, axis=0), [_normal(3, 4)]),
+    ("softmax-axis-1", lambda x: T.softmax(x, axis=-1), [_normal(2, 3, 4)]),
+    ("l2_normalize-above-eps", lambda x: T.l2_normalize(x, axis=1, eps=0.1), [_normal(3, 4) + 1.0]),
+    ("l2_normalize-below-eps", lambda x: T.l2_normalize(x, axis=1, eps=0.1), [0.01 * _normal(3, 4)]),
+    (
+        "batchnorm-train",
+        lambda x, g, b: T.batchnorm2d(x, np.zeros(3), np.ones(3), g, b, training=True),
+        [_normal(2, 3, 3, 3), _positive(3), _normal(3)],
+    ),
+    (
+        "batchnorm-eval",
+        lambda x, g, b: T.batchnorm2d(x, np.array([0.1, -0.2, 0.3]), np.array([0.5, 1.0, 2.0]), g, b, training=False),
+        [_normal(2, 3, 3, 3), _positive(3), _normal(3)],
+    ),
+    ("upsample", T.bilinear_upsample2x, [_normal(1, 2, 3, 4)]),
+    ("concat-neg-axis", lambda a, b: T.concat([a, b], axis=-1), [_normal(2, 3, 2), _normal(2, 3, 4)]),
+    ("gather_rows-1d-repeated", lambda x: T.gather_rows(x, [2, 0, 2, 2]), [_normal(4)]),
+    ("gather_rows-2d-repeated", lambda x: T.gather_rows(x, [1, 3, 1, 0, 1]), [_normal(4, 3)]),
+]
+
+
+@pytest.mark.parametrize("op,arrays", [case[1:] for case in GRAD_CASES], ids=[case[0] for case in GRAD_CASES])
+def test_op_gradients(op, arrays):
+    out = op(*[Tensor(a) for a in arrays])
+    r = np.random.default_rng(18).normal(size=out.shape)  # drawn once: the builder runs per FD probe
+    check_gradients(lambda *xs: (op(*xs) * r).sum(), arrays)
+
+
+# op, d(out)/da and d(out)/db as arrays of the broadcast shape
+BROADCAST_OPS = {
+    "add": (T.add, lambda a, b: np.ones_like(a * b), lambda a, b: np.ones_like(a * b)),
+    "sub": (T.sub, lambda a, b: np.ones_like(a * b), lambda a, b: -np.ones_like(a * b)),
+    "mul": (T.mul, lambda a, b: b + 0 * a, lambda a, b: a + 0 * b),
+    "div": (T.div, lambda a, b: 1 / b + 0 * a, lambda a, b: -a / b**2),
+}
+
+
+def _sum_to(g, shape):
+    """Sum a broadcast gradient back to `shape` with np.sum."""
+    g = np.sum(g, axis=tuple(range(g.ndim - len(shape))))
+    return np.sum(g, axis=tuple(i for i, s in enumerate(shape) if s == 1), keepdims=True).reshape(shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BROADCAST_OPS)),
+    shapes=mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=4, max_side=3),
+    seed=st.integers(0, 2**16),
+)
+def test_broadcasting_properties(name, shapes, seed):
+    op, da, db = BROADCAST_OPS[name]
+    (sa, sb), out_shape = shapes.input_shapes, shapes.result_shape
+    rng = np.random.default_rng(seed)
+    a_np, b_np = rng.normal(size=sa), rng.uniform(0.5, 2.0, size=sb)
+    a, b = Tensor(a_np, requires_grad=True), Tensor(b_np, requires_grad=True)
+    out = op(a, b)
+    assert out.shape == np.broadcast_shapes(sa, sb) == out_shape
+    g = rng.normal(size=out_shape)
+    (out * g).sum().backward()
+    assert a.grad.shape == sa and b.grad.shape == sb
+    np.testing.assert_allclose(a.grad, _sum_to(g * da(a_np, b_np), sa), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(b.grad, _sum_to(g * db(a_np, b_np), sb), rtol=1e-12, atol=1e-12)
 
 
 class TestDeterminismAndParallel:
