@@ -9,10 +9,15 @@ from .tensor import Tensor
 
 
 class Parameter(Tensor):
-    """A trainable tensor; modules register these under dotted names."""
+    """A trainable tensor; modules register these under dotted names.
+
+    It holds a copy of `data`, so an in-place step never rewrites the
+    caller's array.
+    """
 
     def __init__(self, data, dtype=np.float32):
-        super().__init__(data, requires_grad=True, dtype=dtype)
+        data = data.data if isinstance(data, Tensor) else data
+        super().__init__(np.array(data, dtype=dtype), requires_grad=True)
 
 
 def kaiming_normal(rng: np.random.Generator, shape, fan_in: int, gain: float = np.sqrt(2.0), dtype=np.float32):

@@ -9,6 +9,13 @@ code path, an im2col-GEMM whose single patch layout serves forward and
 backward (see `conv2d`); backward re-extracts the patches from the input
 instead of keeping the kh*kw times larger patch buffer on the tape.  The
 only threads are those of the BLAS library behind `np.matmul`.
+
+Gradient ownership: a leaf (a tensor with no backward closure, such as a
+parameter) owns its `.grad`, a C-contiguous array of its own dtype and shape
+that callers may update in place.  An inner node's `.grad` is borrowed: it
+may be a view, a broadcast view or another node's gradient, so it is never
+written in place, and backward sets it to None once the node's closure has
+used it.  Ops keep on the tape only what their backward reads.
 """
 
 from __future__ import annotations
@@ -52,8 +59,9 @@ def set_parallel(num_workers: int = 0) -> None:
 class Tensor:
     """A dense nd-array with an optional gradient buffer.
 
-    `data` is row-major contiguous float32 or float64.  `grad` has the same
-    shape as `data` once backward() has touched this node.  Tensors created
+    `data` is row-major contiguous float32 or float64.  A leaf's `grad` has
+    the shape and dtype of `data` once backward() has reached it; an inner
+    node's `grad` is None again when backward() returns.  Tensors created
     by ops inherit requires_grad from their inputs unless recording is off.
     """
 
@@ -207,9 +215,11 @@ def _make(data, parents, backward_fn) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Run reverse-mode accumulation from a scalar loss.
 
-    Every tensor on the tape that requires grad receives its accumulated
-    gradient in `.grad`; leaves off the path keep whatever `.grad` they had
-    (trainers zero parameter grads first, so untouched ones stay zero).
+    Each node's closure runs once, on the sum of the gradients its consumers
+    sent.  Leaves accumulate into the `.grad` they own (trainers zero it
+    first, so untouched parameters stay zero).  Inner gradients are borrowed
+    and freed: after backward every inner node, the loss included, has
+    `.grad` None, and the tape is released node by node as it unwinds.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -235,22 +245,31 @@ def backward(loss: Tensor) -> None:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
 
-    for node in topo:
-        if node.grad is None:
-            node.grad = np.zeros_like(node.data)
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None:
-            node._backward(node.grad)
-            node._backward = None
-            node._parents = ()
+    _accum(loss, np.ones_like(loss.data))
+    while topo:
+        node = topo.pop()  # popped, so a node nobody else holds is freed once used
+        fn, g = node._backward, node.grad
+        if fn is None:
+            continue  # a leaf keeps its gradient
+        node._backward, node._parents, node.grad = None, (), None
+        if g is not None:
+            fn(g)
 
 
 def _accum(t: Tensor, g):
-    if t.requires_grad:
+    """Add gradient `g` into `t.grad` under the ownership rule of this module."""
+    if not t.requires_grad:
+        return
+    if t._backward is None:  # a leaf: its own C-contiguous copy, then in place
         if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad += g
+            t.grad = np.array(g, dtype=t.data.dtype, order="C")
+        else:
+            t.grad += g
+        return
+    if g.__class__ is not np.ndarray or g.dtype != t.data.dtype:
+        g = np.asarray(g, dtype=t.data.dtype)  # 0-d * float gives a numpy scalar
+    # borrowed: taken as is, and never added into in place
+    t.grad = g if t.grad is None else np.asarray(t.grad + g)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -333,6 +352,8 @@ def div(a, b) -> Tensor:
 
 
 def pow_scalar(a: Tensor, e: float) -> Tensor:
+    if e % 1 and (a.data < 0).any():  # integer exponents skip the scan
+        raise FloatingPointError(f"pow_scalar of negative value to the fractional power {e}")
     out_data = a.data**e
 
     def bw(g):
@@ -362,6 +383,8 @@ def log(a: Tensor) -> Tensor:
 
 
 def sqrt(a: Tensor) -> Tensor:
+    if (a.data < 0).any():
+        raise FloatingPointError("sqrt of negative value")
     out_data = np.sqrt(a.data)
 
     def bw(g):
@@ -492,12 +515,12 @@ def getitem(a: Tensor, key) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
+            ga = np.zeros_like(a.data)  # own buffer: a.grad may be borrowed
             if fancy:
-                np.add.at(a.grad, key, g)
+                np.add.at(ga, key, g)
             else:
-                a.grad[key] += g
+                ga[key] = g
+            _accum(a, ga)
 
     return _make(out_data, (a,), bw)
 
@@ -572,16 +595,25 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-stabilized softmax along one axis; rows sum to one."""
-    if not np.isfinite(x.data).all():
+    """Max-stabilized softmax along one axis; rows sum to one.
+
+    Forward and backward each fill one full-size buffer in place.
+    """
+    top = x.data.max(axis=axis, keepdims=True)
+    # a NaN or +inf shows in the row max, a NaN or -inf in the global min
+    # (`initial` keeps an empty input valid)
+    if not (np.isfinite(top).all() and np.isfinite(x.data.min(initial=0.0))):
         raise FloatingPointError("softmax input contains non-finite values")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = np.subtract(x.data, top)
+    np.exp(out_data, out=out_data)
+    out_data /= out_data.sum(axis=axis, keepdims=True)
 
     def bw(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        _accum(x, out_data * (g - dot))
+        gx = np.multiply(g, out_data)
+        dot = gx.sum(axis=axis, keepdims=True)
+        np.subtract(g, dot, out=gx)
+        gx *= out_data
+        _accum(x, gx)
 
     return _make(out_data, (x,), bw)
 
@@ -654,30 +686,32 @@ def conv2d(
     over the patch layout of `_im2col`, and the (N, G, Og, OH*OW) product is
     the NCHW output with no transpose.  Backward uses the same layout for the
     weight gradient and for the patch gradient, which col2im scatters back.
-    The tape keeps the input, not the patch buffer (kh*kw times larger), and
-    backward re-extracts the patches from it.
+    The tape keeps the input, neither its padded copy nor the patch buffer
+    (kh*kw times larger): backward pads again and re-extracts the patches.
     """
     _conv_shape_check(x.data, weight.data, stride, padding, groups)
     n, c, h, wd = x.data.shape
     o, _, kh, kw = weight.data.shape
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    oh = (xp.shape[2] - kh) // stride + 1
-    ow = (xp.shape[3] - kw) // stride + 1
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (wd + 2 * padding - kw) // stride + 1
     w2 = weight.data.reshape(groups, o // groups, -1)
 
-    out_data = np.matmul(w2, _im2col(xp, kh, kw, stride, oh, ow, groups)).reshape(n, o, oh, ow)
+    def cols():
+        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
+        return _im2col(xp, kh, kw, stride, oh, ow, groups)
+
+    out_data = np.matmul(w2, cols()).reshape(n, o, oh, ow)
     if bias is not None:
         out_data += bias.data[None, :, None, None]
 
     def bw(g):
         gy = g.reshape(n, groups, o // groups, oh * ow)
         if weight.requires_grad:
-            cols = _im2col(xp, kh, kw, stride, oh, ow, groups)
-            _accum(weight, np.matmul(gy, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(weight.data.shape))
-            del cols  # freed before gcols is allocated, so only one patch buffer is alive
+            _accum(weight, np.matmul(gy, cols().transpose(0, 1, 3, 2)).sum(axis=0).reshape(weight.data.shape))
+            # the patch buffer is freed here, before gcols is allocated
         if x.requires_grad:
             gcols = np.matmul(w2.transpose(0, 2, 1), gy).reshape(n, c, kh, kw, oh, ow)
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), dtype=x.data.dtype)
             for i in range(kh):
                 for j in range(kw):
                     gxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += gcols[:, :, i, j]
@@ -702,42 +736,57 @@ def batchnorm2d(
     """Per-channel batch normalization over NCHW.
 
     Training normalizes by biased batch statistics and updates the running
-    buffers in place with the unbiased variance; eval uses the buffers.
+    buffers in place with the unbiased variance; eval uses the buffers and
+    folds gamma and beta into one scale and shift.  The tape keeps only the
+    per-channel mean and inverse std; backward recomputes x_hat from x.
     """
     n, c, h, w = x.data.shape
     if running_mean.shape != (c,) or gamma.data.shape != (c,):
         raise ValueError(f"batchnorm2d: statistic vectors must have {c} channels")
+    axes, cnt = (0, 2, 3), n * h * w
+    dtype = np.result_type(x.data, gamma.data, beta.data)
+
+    def per_channel(v):
+        return v[None, :, None, None]
+
     if training:
-        cnt = n * h * w
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))  # biased
+        mean = x.data.mean(axis=axes)
+        out_data = np.subtract(x.data, per_channel(mean), dtype=dtype)  # the centred copy becomes the output
+        var = np.square(out_data).mean(axis=axes)  # biased
         inv_std = 1.0 / np.sqrt(var + eps)
-        x_hat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
+        # gamma is not folded into inv_std, so the output rounds as x_hat * gamma + beta
+        out_data *= per_channel(inv_std)
+        out_data *= per_channel(gamma.data)
+        out_data += per_channel(beta.data)
         unbiased = var * cnt / max(cnt - 1, 1)
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean.astype(running_mean.dtype)
         running_var *= 1.0 - momentum
         running_var += momentum * unbiased.astype(running_var.dtype)
     else:
+        mean = running_mean.astype(x.dtype)
         inv_std = 1.0 / np.sqrt(running_var.astype(x.dtype) + eps)
-        x_hat = (x.data - running_mean.astype(x.dtype)[None, :, None, None]) * inv_std[None, :, None, None]
-    out_data = x_hat * gamma.data[None, :, None, None] + beta.data[None, :, None, None]
+        scale = inv_std * gamma.data
+        out_data = np.multiply(x.data, per_channel(scale), dtype=dtype)
+        out_data += per_channel(beta.data - mean * scale)
 
     def bw(g):
-        if gamma.requires_grad:
-            _accum(gamma, (g * x_hat).sum(axis=(0, 2, 3)))
-        if beta.requires_grad:
-            _accum(beta, g.sum(axis=(0, 2, 3)))
+        # recompute x_hat from x into the buffer that becomes the input gradient
+        buf = x.data - per_channel(mean)
+        buf *= per_channel(inv_std)
+        g_sum = g.sum(axis=axes)
+        g_xhat = (g * buf).sum(axis=axes)
+        _accum(gamma, g_xhat)
+        _accum(beta, g_sum)
         if x.requires_grad:
-            gs = g * gamma.data[None, :, None, None]
             if training:
-                cnt = n * h * w
-                mean_gs = gs.mean(axis=(0, 2, 3), keepdims=True)
-                mean_gs_xhat = (gs * x_hat).mean(axis=(0, 2, 3), keepdims=True)
-                gx = inv_std[None, :, None, None] * (gs - mean_gs - x_hat * mean_gs_xhat)
+                buf *= per_channel(-g_xhat / cnt)
+                buf += g
+                buf -= per_channel(g_sum / cnt)
+                buf *= per_channel(gamma.data * inv_std)
             else:
-                gx = gs * inv_std[None, :, None, None]
-            _accum(x, gx)
+                np.multiply(g, per_channel(gamma.data * inv_std), out=buf)
+            _accum(x, buf)
 
     return _make(out_data, (x, gamma, beta), bw)
 

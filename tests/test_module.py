@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from semidense import tensor as T
-from semidense.module import BatchNorm2d, Conv2d, Linear, Module
+from semidense.module import BatchNorm2d, Conv2d, Linear, Module, Parameter
 from semidense.tensor import Tensor
 
 
@@ -84,3 +84,12 @@ def test_batchnorm_buffers_restored():
     assert dst.bn.running_mean is running_mean
     np.testing.assert_array_equal(dst.bn.running_mean, src.bn.running_mean)
     np.testing.assert_array_equal(dst.bn.running_var, src.bn.running_var)
+
+
+def test_parameter_copies_its_input():
+    a = np.zeros(3, dtype=np.float32)
+    p = Parameter(a)
+    assert not np.shares_memory(p.data, a)
+    p.data -= 1.0  # an in-place step leaves the caller's array alone
+    np.testing.assert_array_equal(a, 0.0)
+    assert np.shares_memory(Tensor(a).data, a)  # plain tensors still wrap without a copy

@@ -1,6 +1,8 @@
 """Tests of the tensor engine: forward values against independent oracles,
 and tape gradients against the finite-difference oracle in helpers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,6 +236,17 @@ class TestSoftmaxAndFriends:
         with pytest.raises(FloatingPointError):
             T.softmax(Tensor(np.array([np.inf, 0.0])))
 
+    def test_empty_input(self):
+        assert T.softmax(Tensor(np.zeros((0, 2, 3)))).shape == (0, 2, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_rejects_every_non_finite_kind(self, bad, axis):
+        x = np.arange(6.0).reshape(2, 3)
+        x[1, 0] = bad  # a -inf here is no row or column max: only the global min sees it
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            T.softmax(Tensor(x), axis=axis)
+
     def test_sigmoid_zero(self):
         assert T.sigmoid(Tensor(np.array([0.0]))).data[0] == pytest.approx(0.5)
 
@@ -289,6 +302,107 @@ class TestUpsample:
         x = rng.normal(size=(2, 3, 5, 4))
         y = T.bilinear_upsample2x(Tensor(x))
         np.testing.assert_allclose(y.data, self.upsample_oracle(x), atol=1e-9)
+
+
+class TestNegativeInputs:
+    def test_sqrt_of_negative_raises(self):
+        with pytest.raises(FloatingPointError, match="sqrt"):
+            T.sqrt(Tensor(np.array([4.0, -1.0])))
+
+    def test_fractional_power_of_negative_raises(self):
+        with pytest.raises(FloatingPointError, match="pow_scalar"):
+            Tensor(np.array([-2.0])) ** 0.5
+
+    def test_integer_power_of_negative_is_allowed(self):
+        x = Tensor(np.array([-2.0]), requires_grad=True)
+        y = x**2.0
+        y.sum().backward()
+        np.testing.assert_array_equal(y.data, [4.0])
+        np.testing.assert_array_equal(x.grad, [-4.0])
+
+
+class TestGradientOwnership:
+    def test_leaf_grads_are_own_writable_arrays(self):
+        a = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        b = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        (a + b).sum().backward()  # both leaves receive the same broadcast view
+        for t in (a, b):
+            assert t.grad.shape == t.shape and t.grad.dtype == t.dtype
+            assert t.grad.flags.writeable and t.grad.flags.c_contiguous
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad[...] = 5.0
+        np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+
+    def test_inner_and_loss_grads_are_freed(self):
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        h = x * 2.0
+        z = T.relu(h)
+        loss = (z + h).sum()
+        loss.backward()
+        assert h.grad is None and z.grad is None and loss.grad is None
+        np.testing.assert_array_equal(x.grad, [4.0, 2.0, 4.0])
+
+    def test_leaf_accumulates_across_backward_calls(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        x.zero_grad()
+        (x * 3.0).sum().backward()
+        (x * x).sum().backward()
+        np.testing.assert_array_equal(x.grad, [5.0, 7.0])
+
+    @pytest.mark.parametrize("inner", [False, True], ids=["leaf", "inner"])
+    def test_fan_out_accumulates(self, inner):
+        rng = np.random.default_rng(18)
+        c, r, q = rng.normal(size=4), rng.normal(size=4), rng.normal(size=3)
+        x = Tensor(rng.normal(size=4), requires_grad=True)
+        h = x * 1.5 if inner else x
+        # three uses: add, getitem with a repeated index, and sum (a broadcast view)
+        loss = ((h + c) * r).sum() + (h[[0, 0, 3]] * q).sum() + h.sum() * 2.0
+        loss.backward()
+        expected = r + 2.0
+        np.add.at(expected, [0, 0, 3], q)
+        np.testing.assert_allclose(x.grad, expected * (1.5 if inner else 1.0), rtol=1e-12)
+
+    def test_shared_upstream_is_not_corrupted(self):
+        x = Tensor(np.zeros(3), requires_grad=True)
+        p, q = x * 2.0, x * 3.0
+        # p and q borrow one gradient array; getitem must not add into it
+        loss = (p + q).sum() + p[[0, 0]].sum()
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, [2.0 * 3.0 + 3.0, 5.0, 5.0])
+
+    def test_float32_leaf_keeps_its_dtype(self):
+        a = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
+        b = Tensor(np.array([3.0, 4.0], dtype=np.float64))
+        loss = (a * b).sum() + (a + b).sum()
+        assert loss.dtype == np.float64
+        loss.backward()
+        assert a.grad.dtype == np.float32
+        np.testing.assert_array_equal(a.grad, [4.0, 5.0])
+
+    def test_closure_receives_an_ndarray_of_the_node_dtype(self):
+        seen = []
+        a = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        h = T._make(np.asarray(a.data.sum()), (a,), seen.append)  # a 0-d float32 node that records its gradient
+        (h * Tensor(np.array(2.0))).backward()  # float64 operand; 0-d products are numpy scalars
+        assert type(seen[0]) is np.ndarray and seen[0].dtype == np.float32
+
+
+def test_tape_keeps_only_the_outputs():
+    """conv -> batchnorm -> relu holds its three outputs and little else."""
+    rng = np.random.default_rng(19)
+    x = Tensor(rng.standard_normal((2, 8, 64, 64), dtype=np.float32), requires_grad=True)
+    w = Tensor(0.1 * rng.standard_normal((8, 8, 3, 3), dtype=np.float32), requires_grad=True)
+    gamma = Tensor(np.ones(8, dtype=np.float32), requires_grad=True)
+    beta = Tensor(np.zeros(8, dtype=np.float32), requires_grad=True)
+    rm, rv = np.zeros(8, dtype=np.float32), np.ones(8, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        y = T.relu(T.batchnorm2d(T.conv2d(x, w, padding=1), rm, rv, gamma, beta, training=True))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert y.shape == x.shape
+    assert held <= 1.1 * 3 * x.data.nbytes
 
 
 class TestGatherAndShape:
