@@ -6,9 +6,11 @@ precision for training and inference, float64 exists for gradient checking.
 Ops are pure functions over immutable inputs; every reduction runs in a
 fixed order, so equal seeds give bitwise equal results.  Convolution has one
 code path, an im2col-GEMM whose single patch layout serves forward and
-backward (see `conv2d`); backward re-extracts the patches from the input
-instead of keeping the kh*kw times larger patch buffer on the tape.  The
-only threads are those of the BLAS library behind `np.matmul`.
+backward (see `conv2d`).  It fills the patches one block of output rows at
+a time into a buffer of a few MB, so they stay in cache for the GEMM that
+reads them; backward re-extracts them from the input instead of keeping the
+kh*kw times larger patch matrix on the tape.  The only threads are those of
+the BLAS library behind `np.matmul`.
 
 Gradient ownership: a leaf (a tensor with no backward closure, such as a
 parameter) owns its `.grad`, a C-contiguous array of its own dtype and shape
@@ -16,15 +18,46 @@ that callers may update in place.  An inner node's `.grad` is borrowed: it
 may be a view, a broadcast view or another node's gradient, so it is never
 written in place, and backward sets it to None once the node's closure has
 used it.  Ops keep on the tape only what their backward reads.
+
+Allocator policy (process-wide, set once at import): where the C library
+is glibc, every allocation is served from the heap, never from a private
+mmap, and the heap is never trimmed.  By default glibc mmaps each array
+above its 32 MB ceiling afresh and returns it on free, and trims the heap
+top, so every step faults the same pages in again (filling a fresh 64 MB
+array takes 544 page faults and about twice the time of refilling one).
+With the policy, a freed buffer is reused by the next step of the same
+shape.  Freed memory stays with the process, so its resident size does not
+shrink after a peak; the peak itself does not grow.  Where libc has no
+`mallopt`, the policy is a no-op.
 """
 
 from __future__ import annotations
 
+import ctypes
 from contextlib import contextmanager
 
 import numpy as np
 
 _grad_enabled = True
+
+# glibc <malloc.h> parameter numbers
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_MAX = -4
+
+
+def _keep_freed_memory() -> None:
+    """Apply the allocator policy of the module docstring, where glibc has it."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except AttributeError:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_MAX, 0)  # no private mmaps: large arrays live on the heap
+    mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)  # never hand the heap top back
+
+
+_keep_freed_memory()
 
 
 def grad_enabled() -> bool:
@@ -412,13 +445,18 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function.
+
+    With e = exp(-|x|), which never overflows, it is 1 / (1 + e) for x >= 0
+    and e / (1 + e) below.
+    """
     x = a.data
-    out_data = np.empty_like(x)
-    pos = x >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out_data = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out_data /= e
 
     def bw(g):
         _accum(a, g * out_data * (1.0 - out_data))
@@ -657,18 +695,32 @@ def _conv_shape_check(x, w, stride, padding, groups):
         )
 
 
-def _im2col(xp, kh, kw, stride, oh, ow, groups):
-    """Patches of padded NCHW `xp` as a (N, G, Cg*kh*kw, OH*OW) GEMM operand.
+# Size cap of the conv patch block; a block holds at least one output row
+# whatever the cap.  Measured on the benchmark (2-core box, OpenBLAS): 4 and
+# 8 MB tie at 512 px, 8 MB leads at 256 px, 16 MB is slower at both.
+_CONV_BLOCK_BYTES = 8 << 20
 
-    The buffer is filled as (N, C, kh, kw, OH, OW), whose row-major order is
-    already the grouped GEMM layout, so the final reshape does not copy.
+
+def _im2col(xp, cols, stride, r0):
+    """Fill `cols` with the patches of padded NCHW `xp` for output rows r0...
+
+    `cols` is (N, C, kh, kw, rows, OW).  Its row-major order is already the
+    grouped GEMM layout (N, G, Cg*kh*kw, rows*OW), so that view of it is free.
     """
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
+    kh, kw, rows, ow = cols.shape[2:]
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols.reshape(n, groups, -1, oh * ow)
+            taps = slice(i + stride * r0, i + stride * (r0 + rows), stride)
+            cols[:, :, i, j] = xp[:, :, taps, j : j + stride * ow : stride]
+
+
+def _col2im(gxp, gcols, stride, r0):
+    """Add patch gradients laid out as in `_im2col` into padded `gxp`."""
+    kh, kw, rows, ow = gcols.shape[2:]
+    for i in range(kh):
+        for j in range(kw):
+            taps = slice(i + stride * r0, i + stride * (r0 + rows), stride)
+            gxp[:, :, taps, j : j + stride * ow : stride] += gcols[:, :, i, j]
 
 
 def conv2d(
@@ -684,10 +736,19 @@ def conv2d(
     One im2col-GEMM path serves dense, strided, grouped and depthwise
     (groups == in-channels) convolution: groups are a batch dim of `matmul`
     over the patch layout of `_im2col`, and the (N, G, Og, OH*OW) product is
-    the NCHW output with no transpose.  Backward uses the same layout for the
-    weight gradient and for the patch gradient, which col2im scatters back.
-    The tape keeps the input, neither its padded copy nor the patch buffer
-    (kh*kw times larger): backward pads again and re-extracts the patches.
+    the NCHW output with no transpose.
+
+    Patches are extracted one block of output rows at a time, across all
+    images, into one buffer of at most `_CONV_BLOCK_BYTES` (at least one
+    row), and each block's GEMM writes straight into its columns of the
+    output.  The whole patch matrix is kh*kw times the input: at 512 px it
+    would be up to 151 MB, streamed through memory twice per call; a block
+    stays in cache between its fill and its GEMM.  A layer whose patches fit
+    in one block runs as a single GEMM.  Backward walks the same blocks: it
+    re-extracts each block's patches for the weight gradient, then writes
+    that block's patch gradient into the same buffer and scatters it into
+    the input gradient (col2im).  The buffer lives for one call; the tape
+    keeps only the input, neither its padded copy nor any patches.
     """
     _conv_shape_check(x.data, weight.data, stride, padding, groups)
     n, c, h, wd = x.data.shape
@@ -695,26 +756,48 @@ def conv2d(
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (wd + 2 * padding - kw) // stride + 1
     w2 = weight.data.reshape(groups, o // groups, -1)
+    rows = min(oh, max(1, _CONV_BLOCK_BYTES // (n * c * kh * kw * ow * x.data.itemsize)))
+    blocks = [(r0, min(r0 + rows, oh)) for r0 in range(0, oh, rows)]
 
-    def cols():
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
-        return _im2col(xp, kh, kw, stride, oh, ow, groups)
+    def padded():
+        return np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
 
-    out_data = np.matmul(w2, cols()).reshape(n, o, oh, ow)
+    def block_buffer():
+        return np.empty(n * c * kh * kw * rows * ow, dtype=x.data.dtype)
+
+    def block(buf, r0, r1):
+        """Rows [r0, r1) in front of `buf`: the `_im2col` view and the GEMM view."""
+        cols = buf[: n * c * kh * kw * (r1 - r0) * ow].reshape(n, c, kh, kw, r1 - r0, ow)
+        return cols, cols.reshape(n, groups, -1, (r1 - r0) * ow)
+
+    out_data = np.empty((n, o, oh, ow), dtype=np.result_type(x.data, weight.data))
+    out4 = out_data.reshape(n, groups, o // groups, oh * ow)  # a block's columns are a view
+    xp, buf = padded(), block_buffer()
+    for r0, r1 in blocks:
+        cols, mat = block(buf, r0, r1)
+        _im2col(xp, cols, stride, r0)
+        np.matmul(w2, mat, out=out4[..., r0 * ow : r1 * ow])
     if bias is not None:
         out_data += bias.data[None, :, None, None]
 
     def bw(g):
         gy = g.reshape(n, groups, o // groups, oh * ow)
-        if weight.requires_grad:
-            _accum(weight, np.matmul(gy, cols().transpose(0, 1, 3, 2)).sum(axis=0).reshape(weight.data.shape))
-            # the patch buffer is freed here, before gcols is allocated
-        if x.requires_grad:
-            gcols = np.matmul(w2.transpose(0, 2, 1), gy).reshape(n, c, kh, kw, oh, ow)
-            gxp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), dtype=x.data.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += gcols[:, :, i, j]
+        xp = padded() if weight.requires_grad else None
+        gxp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), dtype=x.data.dtype) if x.requires_grad else None
+        buf, gw = block_buffer(), None
+        for r0, r1 in blocks:
+            gyb = gy[..., r0 * ow : r1 * ow]
+            cols, mat = block(buf, r0, r1)
+            if xp is not None:
+                _im2col(xp, cols, stride, r0)
+                part = np.matmul(gyb, mat.transpose(0, 1, 3, 2)).sum(axis=0)
+                gw = part if gw is None else gw + part
+            if gxp is not None:
+                np.matmul(w2.transpose(0, 2, 1), gyb, out=mat)  # the patch gradient overwrites the patches
+                _col2im(gxp, cols, stride, r0)
+        if gw is not None:
+            _accum(weight, gw.reshape(weight.data.shape))
+        if gxp is not None:
             _accum(x, gxp[:, :, padding : padding + h, padding : padding + wd] if padding else gxp)
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3)))
@@ -816,9 +899,9 @@ def bilinear_upsample2x(x: Tensor) -> Tensor:
     n, c, h, w = x.data.shape
     uh = _up2_matrix(h, x.dtype)
     uw = _up2_matrix(w, x.dtype)
-    out_data = np.einsum("ah,nchw,bw->ncab", uh, x.data, uw, optimize=True)
+    out_data = uh @ x.data @ uw.T
 
     def bw(g):
-        _accum(x, np.einsum("ah,ncab,bw->nchw", uh, g, uw, optimize=True))
+        _accum(x, uh.T @ g @ uw)
 
     return _make(out_data, (x,), bw)

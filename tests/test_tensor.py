@@ -1,7 +1,10 @@
 """Tests of the tensor engine: forward values against independent oracles,
 and tape gradients against the finite-difference oracle in helpers."""
 
+import ctypes
+import resource
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +130,63 @@ class TestConv2d:
 
         check_gradients(loss, arrays)
 
+    @staticmethod
+    def rows_per_block(monkeypatch, x, k, ow, rows):
+        """Cap `conv2d`'s patch block at `rows` output rows of input `x`."""
+        n, c = x.shape[:2]
+        monkeypatch.setattr(T, "_CONV_BLOCK_BYTES", rows * n * c * k * k * ow * x.itemsize)
+
+    @pytest.mark.parametrize(
+        "cin,cout,k,stride,padding,groups,bias",
+        [
+            (3, 4, 3, 1, 0, 1, True),
+            (3, 4, 3, 1, 1, 1, False),
+            (3, 4, 3, 2, 1, 1, True),
+            (3, 4, 3, 2, 0, 1, False),
+            (3, 5, 1, 1, 0, 1, True),
+            (4, 6, 3, 1, 1, 2, True),
+            (4, 4, 3, 2, 1, 2, False),
+        ],
+    )
+    def test_gradients_in_row_blocks(self, monkeypatch, cin, cout, k, stride, padding, groups, bias):
+        """Several patch blocks of 3 output rows, the last one partial."""
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(2, cin, 10, 6))
+        w = rng.normal(size=(cout, cin // groups, k, k))
+        oh = (10 + 2 * padding - k) // stride + 1
+        ow = (6 + 2 * padding - k) // stride + 1
+        assert oh > 3 and oh % 3, "the case must run several blocks with a partial last one"
+        self.rows_per_block(monkeypatch, x, k, ow, 3)
+        r = rng.normal(size=(2, cout, oh, ow))
+        arrays = [x, w] + ([rng.normal(size=cout)] if bias else [])
+
+        def loss(x, w, b=None):
+            return (T.conv2d(x, w, b, stride=stride, padding=padding, groups=groups) * r).sum()
+
+        check_gradients(loss, arrays)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_row_blocks_agree_with_one_block(self, monkeypatch, stride):
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((2, 8, 21, 20), dtype=np.float32)
+        w = 0.1 * rng.standard_normal((8, 8, 3, 3), dtype=np.float32)
+        b = rng.standard_normal(8, dtype=np.float32)
+        ow = (20 + 2 - 3) // stride + 1
+
+        def run():
+            ts = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+            y = T.conv2d(*ts, stride=stride, padding=1)
+            (y * y).sum().backward()
+            return [y.data] + [t.grad for t in ts]
+
+        one = run()  # the default cap holds this layer in one block
+        self.rows_per_block(monkeypatch, x, 3, ow, 4)
+        for got, ref in zip(run(), one):
+            assert got.dtype == np.float32
+            # block order changes the summation order of gW and of overlapping
+            # col2im rows, so an element near zero may move by float32 rounding
+            np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max())
+
     def test_shape_errors(self):
         x = Tensor(np.zeros((1, 3, 4, 4)))
         with pytest.raises(ValueError, match="groups"):
@@ -249,6 +309,16 @@ class TestSoftmaxAndFriends:
 
     def test_sigmoid_zero(self):
         assert T.sigmoid(Tensor(np.array([0.0]))).data[0] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_saturates_exactly(self, dtype):
+        x = Tensor(np.array([-1000.0, -1.0, 0.0, 1.0, 1000.0], dtype=dtype))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = T.sigmoid(x).data
+        assert y.dtype == dtype
+        assert y[0] == 0.0 and y[-1] == 1.0
+        np.testing.assert_allclose(y[1:4], 1.0 / (1.0 + np.exp(-np.array([-1.0, 0.0, 1.0]))), rtol=1e-6)
 
     def test_l2_normalize_triangle(self):
         y = T.l2_normalize(Tensor(np.array([3.0, 4.0])), axis=0)
@@ -403,6 +473,16 @@ def test_tape_keeps_only_the_outputs():
         tracemalloc.stop()
     assert y.shape == x.shape
     assert held <= 1.1 * 3 * x.data.nbytes
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="libc has no mallopt")
+def test_repeated_large_op_reuses_its_pages():
+    """A second 64 MB softmax reuses the freed buffer instead of faulting fresh pages."""
+    x = Tensor(np.ones((4096, 4096), dtype=np.float32))
+    T.softmax(x)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    T.softmax(x)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
 
 
 class TestGatherAndShape:
