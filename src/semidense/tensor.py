@@ -6,11 +6,13 @@ precision for training and inference, float64 exists for gradient checking.
 Ops are pure functions over immutable inputs; every reduction runs in a
 fixed order, so equal seeds give bitwise equal results.  Convolution has one
 code path, an im2col-GEMM whose single patch layout serves forward and
-backward (see `conv2d`).  It fills the patches one block of output rows at
-a time into a buffer of a few MB, so they stay in cache for the GEMM that
-reads them; backward re-extracts them from the input instead of keeping the
-kh*kw times larger patch matrix on the tape.  The only threads are those of
-the BLAS library behind `np.matmul`.
+backward (see `conv2d`).  The layout folds the batch into the GEMM columns,
+so backward runs one weight-gradient GEMM per block, not a weight-sized
+product per image.  Patches are filled one block of output rows at a time
+into a buffer of a few MB, so they stay in cache for the GEMMs that read
+them; backward re-extracts them from the input instead of keeping the kh*kw
+times larger patch matrix on the tape.  The only threads are those of the
+BLAS library behind `np.matmul`.
 
 Gradient ownership: a leaf (a tensor with no backward closure, such as a
 parameter) owns its `.grad`, a C-contiguous array of its own dtype and shape
@@ -702,25 +704,23 @@ _CONV_BLOCK_BYTES = 8 << 20
 
 
 def _im2col(xp, cols, stride, r0):
-    """Fill `cols` with the patches of padded NCHW `xp` for output rows r0...
-
-    `cols` is (N, C, kh, kw, rows, OW).  Its row-major order is already the
-    grouped GEMM layout (N, G, Cg*kh*kw, rows*OW), so that view of it is free.
-    """
-    kh, kw, rows, ow = cols.shape[2:]
+    """Fill `cols`, (C, kh, kw, N, rows, OW), with the patches of padded NCHW
+    `xp` for output rows r0...  In row-major order that is already the grouped
+    GEMM layout (G, Cg*kh*kw, N*rows*OW), with the batch in the columns."""
+    kh, kw, _, rows, ow = cols.shape[1:]
     for i in range(kh):
         for j in range(kw):
             taps = slice(i + stride * r0, i + stride * (r0 + rows), stride)
-            cols[:, :, i, j] = xp[:, :, taps, j : j + stride * ow : stride]
+            cols[:, i, j] = xp[:, :, taps, j : j + stride * ow : stride].transpose(1, 0, 2, 3)
 
 
 def _col2im(gxp, gcols, stride, r0):
-    """Add patch gradients laid out as in `_im2col` into padded `gxp`."""
-    kh, kw, rows, ow = gcols.shape[2:]
+    """Add patch gradients laid out as in `_im2col` into padded NCHW `gxp`."""
+    kh, kw, _, rows, ow = gcols.shape[1:]
     for i in range(kh):
         for j in range(kw):
             taps = slice(i + stride * r0, i + stride * (r0 + rows), stride)
-            gxp[:, :, taps, j : j + stride * ow : stride] += gcols[:, :, i, j]
+            gxp[:, :, taps, j : j + stride * ow : stride] += gcols[:, i, j].transpose(1, 0, 2, 3)
 
 
 def conv2d(
@@ -735,20 +735,20 @@ def conv2d(
 
     One im2col-GEMM path serves dense, strided, grouped and depthwise
     (groups == in-channels) convolution: groups are a batch dim of `matmul`
-    over the patch layout of `_im2col`, and the (N, G, Og, OH*OW) product is
-    the NCHW output with no transpose.
+    over the patch layout of `_im2col`, whose GEMM columns hold every image.
 
     Patches are extracted one block of output rows at a time, across all
     images, into one buffer of at most `_CONV_BLOCK_BYTES` (at least one
-    row), and each block's GEMM writes straight into its columns of the
-    output.  The whole patch matrix is kh*kw times the input: at 512 px it
+    row).  The whole patch matrix is kh*kw times the input: at 512 px it
     would be up to 151 MB, streamed through memory twice per call; a block
-    stays in cache between its fill and its GEMM.  A layer whose patches fit
-    in one block runs as a single GEMM.  Backward walks the same blocks: it
-    re-extracts each block's patches for the weight gradient, then writes
-    that block's patch gradient into the same buffer and scatters it into
-    the input gradient (col2im).  The buffer lives for one call; the tape
-    keeps only the input, neither its padded copy nor any patches.
+    stays in cache between its fill and its GEMMs.  Forward runs one GEMM per
+    image on its columns of the block, into the NCHW output.  Backward copies
+    each block's output gradient once into (G, Og, N*rows*OW), re-extracts
+    the patches for one weight-gradient GEMM that sums the images itself (a
+    product per image would be weight-sized, larger than a deep stage's
+    activations), then writes one patch-gradient GEMM over the patches and
+    scatters it into the input gradient (col2im).  The buffer lives for one
+    call; the tape keeps only the input, neither its padded copy nor patches.
     """
     _conv_shape_check(x.data, weight.data, stride, padding, groups)
     n, c, h, wd = x.data.shape
@@ -758,47 +758,52 @@ def conv2d(
     w2 = weight.data.reshape(groups, o // groups, -1)
     rows = min(oh, max(1, _CONV_BLOCK_BYTES // (n * c * kh * kw * ow * x.data.itemsize)))
     blocks = [(r0, min(r0 + rows, oh)) for r0 in range(0, oh, rows)]
+    pshape = (n, c, h + 2 * padding, wd + 2 * padding)
+    inner = np.s_[..., padding : padding + h, padding : padding + wd]  # the input inside its zero border
 
     def padded():
-        return np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
-
-    def block_buffer():
-        return np.empty(n * c * kh * kw * rows * ow, dtype=x.data.dtype)
+        """The input inside a zero border of `padding`, filled by slice assignment."""
+        if not padding:
+            return x.data
+        xp = np.zeros(pshape, dtype=x.data.dtype)
+        xp[inner] = x.data
+        return xp
 
     def block(buf, r0, r1):
         """Rows [r0, r1) in front of `buf`: the `_im2col` view and the GEMM view."""
-        cols = buf[: n * c * kh * kw * (r1 - r0) * ow].reshape(n, c, kh, kw, r1 - r0, ow)
-        return cols, cols.reshape(n, groups, -1, (r1 - r0) * ow)
+        cols = buf[: c * kh * kw * n * (r1 - r0) * ow].reshape(c, kh, kw, n, r1 - r0, ow)
+        return cols, cols.reshape(groups, -1, n * (r1 - r0) * ow)
 
     out_data = np.empty((n, o, oh, ow), dtype=np.result_type(x.data, weight.data))
     out4 = out_data.reshape(n, groups, o // groups, oh * ow)  # a block's columns are a view
-    xp, buf = padded(), block_buffer()
+    xp, buf = padded(), np.empty(c * kh * kw * n * rows * ow, dtype=x.data.dtype)
     for r0, r1 in blocks:
         cols, mat = block(buf, r0, r1)
         _im2col(xp, cols, stride, r0)
-        np.matmul(w2, mat, out=out4[..., r0 * ow : r1 * ow])
+        for k, image_cols in enumerate(np.split(mat, n, axis=2)):
+            np.matmul(w2, image_cols, out=out4[k, ..., r0 * ow : r1 * ow])
     if bias is not None:
         out_data += bias.data[None, :, None, None]
 
     def bw(g):
         gy = g.reshape(n, groups, o // groups, oh * ow)
         xp = padded() if weight.requires_grad else None
-        gxp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), dtype=x.data.dtype) if x.requires_grad else None
-        buf, gw = block_buffer(), None
+        gxp = np.zeros(pshape, dtype=x.data.dtype) if x.requires_grad else None
+        buf, gw = np.empty(c * kh * kw * n * rows * ow, dtype=x.data.dtype), None
         for r0, r1 in blocks:
-            gyb = gy[..., r0 * ow : r1 * ow]
+            gyb = gy[..., r0 * ow : r1 * ow].transpose(1, 2, 0, 3).reshape(groups, o // groups, -1)
             cols, mat = block(buf, r0, r1)
             if xp is not None:
                 _im2col(xp, cols, stride, r0)
-                part = np.matmul(gyb, mat.transpose(0, 1, 3, 2)).sum(axis=0)
-                gw = part if gw is None else gw + part
+                part = np.matmul(gyb, mat.transpose(0, 2, 1))
+                gw = part if gw is None else np.add(gw, part, out=gw)
             if gxp is not None:
                 np.matmul(w2.transpose(0, 2, 1), gyb, out=mat)  # the patch gradient overwrites the patches
                 _col2im(gxp, cols, stride, r0)
         if gw is not None:
             _accum(weight, gw.reshape(weight.data.shape))
         if gxp is not None:
-            _accum(x, gxp[:, :, padding : padding + h, padding : padding + wd] if padding else gxp)
+            _accum(x, gxp[inner])
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3)))
 

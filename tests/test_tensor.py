@@ -187,6 +187,52 @@ class TestConv2d:
             # col2im rows, so an element near zero may move by float32 rounding
             np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max())
 
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_gradients_batch_in_gemm_columns(self, monkeypatch, batch, stride, padding):
+        """The images share each block's GEMM columns; no gradient may cross between them."""
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(batch, 4, 10, 5))
+        w = rng.normal(size=(4, 2, 3, 3))  # groups 2
+        oh = (10 + 2 * padding - 3) // stride + 1
+        ow = (5 + 2 * padding - 3) // stride + 1
+        assert oh > 3 and oh % 3, "the case must run several blocks with a partial last one"
+        self.rows_per_block(monkeypatch, x, 3, ow, 3)
+        r = rng.normal(size=(batch, 4, oh, ow))
+
+        def loss(x, w, b):
+            return (T.conv2d(x, w, b, stride=stride, padding=padding, groups=2) * r).sum()
+
+        check_gradients(loss, [x, w, rng.normal(size=4)])
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_batch_agrees_with_image_by_image(self, monkeypatch, stride):
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((3, 8, 21, 20), dtype=np.float32)
+        w = 0.1 * rng.standard_normal((8, 4, 3, 3), dtype=np.float32)
+        b = rng.standard_normal(8, dtype=np.float32)
+        ow = (20 + 2 - 3) // stride + 1
+
+        def run(xs):
+            # the same 4 output rows per block whatever the batch, so col2im
+            # adds each input-gradient element in the same order
+            self.rows_per_block(monkeypatch, xs, 3, ow, 4)
+            ts = [Tensor(a, requires_grad=True) for a in (xs, w, b)]
+            y = T.conv2d(*ts, stride=stride, padding=1, groups=2)
+            (y * y).sum().backward()
+            return [y.data] + [t.grad for t in ts]
+
+        y, gx, gw, gb = run(x)
+        assert y.shape[2] > 4, "the case must run several blocks"
+        solo = [run(x[k : k + 1]) for k in range(3)]
+        assert y.dtype == gx.dtype == np.float32
+        np.testing.assert_array_equal(y, np.concatenate([s[0] for s in solo]))
+        np.testing.assert_array_equal(gx, np.concatenate([s[1] for s in solo]))
+        # the batched GEMM sums the images in its own order
+        for got, parts in ((gw, [s[2] for s in solo]), (gb, [s[3] for s in solo])):
+            ref = np.sum(parts, axis=0)
+            np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max())
+
     def test_shape_errors(self):
         x = Tensor(np.zeros((1, 3, 4, 4)))
         with pytest.raises(ValueError, match="groups"):
