@@ -384,6 +384,82 @@ class TestSoftmaxAndFriends:
         np.testing.assert_allclose(y.data, x / eps, atol=1e-9)
 
 
+class TestBlockedSoftmax:
+    """softmax with `_SOFTMAX_BLOCK_BYTES` cut to three rows (last axis
+    reduced) or three slices (any other axis), so that every case below runs
+    several blocks and its last block is partial."""
+
+    @staticmethod
+    def three_per_block(monkeypatch, shape, axis, dtype):
+        n = shape[axis]
+        last = axis in (-1, len(shape) - 1)
+        count = int(np.prod(shape)) // n if last else n  # rows or slices
+        assert count > 3 and count % 3, "several blocks, the last one partial"
+        per = n if last else int(np.prod(shape)) // n
+        monkeypatch.setattr(T, "_SOFTMAX_BLOCK_BYTES", 3 * per * np.dtype(dtype).itemsize)
+
+    @pytest.mark.parametrize("shape,axis", [((7, 4), 0), ((2, 7, 3), 1), ((5, 2, 4), -1)])
+    def test_gradients(self, monkeypatch, shape, axis):
+        self.three_per_block(monkeypatch, shape, axis, np.float64)
+        rng = np.random.default_rng(40)
+        x, r = rng.normal(size=shape), rng.normal(size=shape)
+        check_gradients(lambda x: (T.softmax(x, axis=axis) * r).sum(), [x])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("axis", [1, -1], ids=["slices", "rows"])
+    def test_rejects_non_finite_in_a_later_block(self, monkeypatch, bad, axis):
+        self.three_per_block(monkeypatch, (2, 7, 5), axis, np.float64)
+        x = np.arange(70.0).reshape(2, 7, 5)
+        x[1, 4, 2] = bad  # row 11 of 14 (block 4 of 5), slice 4 of 7 (block 2 of 3)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            T.softmax(Tensor(x), axis=axis)
+
+    @pytest.mark.parametrize("axis", [0, -1], ids=["slices", "rows"])
+    def test_shift_is_the_max_over_every_block(self, monkeypatch, axis):
+        x = np.zeros((7, 7), dtype=np.float32)
+        x[4, 4] = 100.0  # block 2 of 3 either way; exp(100) overflows float32
+        x[6, 6] = -100.0
+        self.three_per_block(monkeypatch, x.shape, axis, np.float32)
+        y = T.softmax(Tensor(x), axis=axis).data
+        assert y[4, 4] == 1.0 and np.isfinite(y).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(4, 5, 33), (2, 1, 5, 17)])
+    def test_rows_bitwise_equal_to_one_block(self, monkeypatch, dtype, shape):
+        x = Tensor((5.0 * np.random.default_rng(41).normal(size=shape)).astype(dtype))
+        monkeypatch.setattr(T, "_SOFTMAX_BLOCK_BYTES", 1 << 40)
+        whole = T.softmax(x, axis=-1).data
+        self.three_per_block(monkeypatch, shape, -1, dtype)
+        assert np.array_equal(T.softmax(x, axis=-1).data, whole)
+
+    @pytest.mark.parametrize("shape,axis", [((50, 6, 5), 0), ((3, 40, 7), 1), ((2, 41, 3, 2), 1)])
+    def test_slices_match_float64_reference(self, monkeypatch, shape, axis):
+        x = (5.0 * np.random.default_rng(42).normal(size=shape)).astype(np.float32)
+        self.three_per_block(monkeypatch, shape, axis, np.float32)
+        y = T.softmax(Tensor(x), axis=axis).data
+        ref = np.exp(x.astype(np.float64) - x.max(axis=axis, keepdims=True))
+        ref /= ref.sum(axis=axis, keepdims=True)
+        assert y.dtype == np.float32
+        np.testing.assert_allclose(y, ref, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_one_block_is_the_whole_array_passes(self, axis):
+        x = 5.0 * np.random.default_rng(43).normal(size=(6, 5, 4)).astype(np.float32)
+        e = np.exp(x - x.max(axis=axis, keepdims=True))
+        assert np.array_equal(T.softmax(Tensor(x), axis=axis).data, e / e.sum(axis=axis, keepdims=True))
+
+    @pytest.mark.parametrize("shape,axis", [((0, 2, 3), -1), ((0, 2, 3), 1), ((2, 0, 3), 0), ((2, 3, 0), 0)])
+    def test_empty_input(self, monkeypatch, shape, axis):
+        monkeypatch.setattr(T, "_SOFTMAX_BLOCK_BYTES", 1)  # below one row or slice: one per block
+        assert T.softmax(Tensor(np.zeros(shape)), axis=axis).shape == shape
+
+    @pytest.mark.parametrize("axis", [0, -1])
+    def test_one_dimensional_input(self, monkeypatch, axis):
+        monkeypatch.setattr(T, "_SOFTMAX_BLOCK_BYTES", 1)
+        y = T.softmax(Tensor(np.array([2.0, 0.0])), axis=axis)
+        np.testing.assert_allclose(y.data, [0.8808, 0.1192], atol=1e-4)
+
+
 class TestUpsample:
     @staticmethod
     def upsample_oracle(x):
@@ -429,12 +505,24 @@ class TestNegativeInputs:
         with pytest.raises(FloatingPointError, match="pow_scalar"):
             Tensor(np.array([-2.0])) ** 0.5
 
+    @pytest.mark.parametrize("e", [-1.0, -0.5, -2.0])
+    def test_negative_power_of_zero_raises(self, e):
+        with pytest.raises(FloatingPointError, match="pow_scalar"):
+            T.pow_scalar(Tensor(np.array([1.0, 0.0])), e)
+
     def test_integer_power_of_negative_is_allowed(self):
         x = Tensor(np.array([-2.0]), requires_grad=True)
         y = x**2.0
         y.sum().backward()
         np.testing.assert_array_equal(y.data, [4.0])
         np.testing.assert_array_equal(x.grad, [-4.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+def test_item_of_every_size_one_shape(shape, dtype):
+    value = Tensor(np.full(shape, 3.5, dtype=dtype)).item()
+    assert type(value) is float and value == 3.5
 
 
 class TestGradientOwnership:
