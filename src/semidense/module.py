@@ -91,6 +91,7 @@ class Module:
         return self.train(False)
 
     def zero_grad(self):
+        """Release every parameter's gradient; each is None until backward reaches it."""
         for p in self.parameters():
             p.zero_grad()
 

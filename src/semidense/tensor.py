@@ -19,12 +19,24 @@ passes over the 64 MB dual-softmax scores each stream the array from
 memory, while a block stays in cache across them.  The only threads are
 those of the BLAS library behind `np.matmul`.
 
-Gradient ownership: a leaf (a tensor with no backward closure, such as a
-parameter) owns its `.grad`, a C-contiguous array of its own dtype and shape
-that callers may update in place.  An inner node's `.grad` is borrowed: it
-may be a view, a broadcast view or another node's gradient, so it is never
-written in place, and backward sets it to None once the node's closure has
-used it.  Ops keep on the tape only what their backward reads.
+Graph state: a tensor is its `data` plus, when it requires grad, a `Node`.
+An op's output node holds the op's backward closure, the nodes of those
+inputs that require grad, its gradient, and its shape and dtype.  Nodes and
+closures never refer to a `Tensor`, and each closure captures the arrays
+its backward reads and nothing else, so an intermediate's `data` lives only
+while the caller holds the tensor or some backward reads the array: ReLU
+reads its output and not the batch norm output before it, softmax its
+output and not the scores.  A leaf's node (a parameter's, say) has no
+closure, and its shape and dtype follow the tensor's `data` when that is
+reassigned.  Under `no_grad` no node is made.
+
+Gradient ownership: a leaf owns its `.grad`, a C-contiguous array of its own
+dtype and shape that callers may update in place.  It is None until
+backward first reaches the leaf, which then takes a copy of its gradient,
+and `zero_grad` sets it to None again, which frees it.  An inner node's
+`.grad` is borrowed: it may be a view, a broadcast view or another node's
+gradient, so it is never written in place, and backward sets it to None
+once the node's closure has used it.
 
 Allocator policy (process-wide, set once at import): where the C library
 is glibc, every allocation is served from the heap, never from a private
@@ -97,16 +109,39 @@ def set_parallel(num_workers: int = 0) -> None:
         )
 
 
-class Tensor:
-    """A dense nd-array with an optional gradient buffer.
+class Node:
+    """The graph state of a tensor that requires grad.
 
-    `data` is row-major contiguous float32 or float64.  A leaf's `grad` has
-    the shape and dtype of `data` once backward() has reached it; an inner
-    node's `grad` is None again when backward() returns.  Tensors created
-    by ops inherit requires_grad from their inputs unless recording is off.
+    An op's output node holds the op's backward closure and the nodes of
+    its inputs that require grad; a leaf's node has neither, and backward
+    clears both from an op's node once its closure has run.  `grad`,
+    `shape` and `dtype` follow the rules of the module docstring.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("backward", "parents", "grad", "shape", "dtype")
+
+    def __init__(self, backward, parents, shape, dtype):
+        self.backward = backward
+        self.parents = parents
+        self.grad = None
+        self.shape = shape
+        self.dtype = dtype
+
+
+class Tensor:
+    """A dense nd-array and, when it requires grad, its graph `Node`.
+
+    `data` is a float32 or float64 numpy array.  The constructor stores a
+    C-contiguous array, but an op's output may be a strided view of its
+    input (`transpose`, basic-slice indexing); every op accepts either.
+    `requires_grad` is True exactly when the tensor has a node, which ops
+    make for their output when recording is on and an input has one.
+    `grad` is the node's gradient: a leaf's has the shape and dtype of
+    `data` once backward() has reached it, until `zero_grad`; an inner
+    tensor's is None again when backward() returns.
+    """
+
+    __slots__ = ("_data", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -116,29 +151,59 @@ class Tensor:
             arr = arr.astype(dtype, copy=False)
         elif arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
-        self.data = np.asarray(arr, order="C")  # ascontiguousarray would turn 0-d into (1,)
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
+        self._data = np.asarray(arr, order="C")  # ascontiguousarray would turn 0-d into (1,)
+        self._node = Node(None, (), arr.shape, arr.dtype) if requires_grad else None
 
     # -- bookkeeping ------------------------------------------------------
 
     @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    @data.setter
+    def data(self, value: np.ndarray) -> None:
+        self._data = value
+        node = self._node
+        if node is not None and node.backward is None:  # a leaf's gradient follows its data
+            node.shape, node.dtype = value.shape, value.dtype
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool) -> None:
+        if not value:
+            self._node = None  # ops recorded so far keep their own reference to it
+        elif self._node is None:
+            self._node = Node(None, (), self._data.shape, self._data.dtype)
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        if self._node is not None:
+            self._node.grad = value
+        elif value is not None:
+            raise ValueError("cannot set the gradient of a tensor that does not require grad")
+
+    @property
     def shape(self):
-        return self.data.shape
+        return self._data.shape
 
     @property
     def ndim(self):
-        return self.data.ndim
+        return self._data.ndim
 
     @property
     def dtype(self):
-        return self.data.dtype
+        return self._data.dtype
 
     @property
     def size(self):
-        return self.data.size
+        return self._data.size
 
     def item(self) -> float:
         return self.data.item()
@@ -147,7 +212,8 @@ class Tensor:
         return Tensor(self.data)
 
     def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
+        """Release the gradient: `grad` is None until backward next reaches this tensor."""
+        self.grad = None
 
     def check_finite(self, name: str = "tensor") -> "Tensor":
         if not np.isfinite(self.data).all():
@@ -239,17 +305,16 @@ def _wrap(other, like: Tensor):
 
 
 def _make(data, parents, backward_fn) -> Tensor:
+    """Wrap an op's output; give it a node when recording is on and a parent has one.
+
+    `parents` are the input nodes, None for an input that needs no gradient.
+    """
     out = Tensor.__new__(Tensor)
-    out.data = data
-    out.grad = None
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+    out._data = data
+    if _grad_enabled and any(parents):
+        out._node = Node(backward_fn, tuple(filter(None, parents)), data.shape, data.dtype)
     else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
+        out._node = None
     return out
 
 
@@ -257,60 +322,64 @@ def backward(loss: Tensor) -> None:
     """Run reverse-mode accumulation from a scalar loss.
 
     Each node's closure runs once, on the sum of the gradients its consumers
-    sent.  Leaves accumulate into the `.grad` they own (trainers zero it
-    first, so untouched parameters stay zero).  Inner gradients are borrowed
-    and freed: after backward every inner node, the loss included, has
-    `.grad` None, and the tape is released node by node as it unwinds.
+    sent.  A leaf takes its own copy of its first gradient and adds later
+    ones into it; one that backward does not reach keeps the `.grad` it had,
+    None after `zero_grad`.  Inner gradients are borrowed and freed: after
+    backward every inner node, the loss included, has `.grad` None, and the
+    tape is released node by node as it unwinds.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not np.isfinite(loss.data).all():
         raise FloatingPointError("backward called on a non-finite loss")
-    if not loss.requires_grad:
+    root = loss._node
+    if root is None:
         return
 
     # iterative topological order (graphs can be thousands of ops deep)
-    topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    topo: list[Node] = []
+    visited: set[Node] = set()
+    stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
             topo.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
+        for p in node.parents:
+            if p not in visited:
                 stack.append((p, False))
 
-    _accum(loss, np.ones_like(loss.data))
+    _accum(root, np.ones(root.shape, root.dtype))
     while topo:
         node = topo.pop()  # popped, so a node nobody else holds is freed once used
-        fn, g = node._backward, node.grad
+        fn, g = node.backward, node.grad
         if fn is None:
             continue  # a leaf keeps its gradient
-        node._backward, node._parents, node.grad = None, (), None
+        node.backward, node.parents, node.grad = None, (), None
         if g is not None:
             fn(g)
 
 
-def _accum(t: Tensor, g):
-    """Add gradient `g` into `t.grad` under the ownership rule of this module."""
-    if not t.requires_grad:
+def _accum(node: Node | None, g):
+    """Add gradient `g`, summed down to the node's shape where it was broadcast,
+    into `node.grad` under the ownership rule of this module; None is a no-op."""
+    if node is None:
         return
-    if t._backward is None:  # a leaf: its own C-contiguous copy, then in place
-        if t.grad is None:
-            t.grad = np.array(g, dtype=t.data.dtype, order="C")
+    g = _unbroadcast(g, node.shape)
+    if node.backward is None:  # a leaf: its own C-contiguous copy, then in place
+        if node.grad is None:
+            node.grad = np.array(g, dtype=node.dtype, order="C")
         else:
-            t.grad += g
+            node.grad += g
         return
-    if g.__class__ is not np.ndarray or g.dtype != t.data.dtype:
-        g = np.asarray(g, dtype=t.data.dtype)  # 0-d * float gives a numpy scalar
+    if g.__class__ is not np.ndarray or g.dtype != node.dtype:
+        g = np.asarray(g, dtype=node.dtype)  # 0-d * float gives a numpy scalar
     # borrowed: taken as is, and never added into in place
-    t.grad = g if t.grad is None else np.asarray(t.grad + g)
+    node.grad = g if node.grad is None else np.asarray(node.grad + g)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -334,47 +403,53 @@ def add(a, b) -> Tensor:
     if not isinstance(a, Tensor):
         a = _wrap(a, b)
     b = _wrap(b, a)
-    out_data = a.data + b.data
+    na, nb = a._node, b._node
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        _accum(na, g)
+        _accum(nb, g)
 
-    return _make(out_data, (a, b), bw)
+    return _make(a.data + b.data, (na, nb), bw)
 
 
 def sub(a, b) -> Tensor:
     if not isinstance(a, Tensor):
         a = _wrap(a, b)
     b = _wrap(b, a)
-    out_data = a.data - b.data
+    na, nb = a._node, b._node
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+        _accum(na, g)
+        if nb is not None:
+            _accum(nb, -g)
 
-    return _make(out_data, (a, b), bw)
+    return _make(a.data - b.data, (na, nb), bw)
 
 
 def mul(a, b) -> Tensor:
     if not isinstance(a, Tensor):
         a = _wrap(a, b)
+    na = a._node
     if np.isscalar(b):
         s = float(b)
-        out_data = a.data * s
 
         def bw_s(g):
-            _accum(a, g * s)
+            _accum(na, g * s)
 
-        return _make(out_data, (a,), bw_s)
+        return _make(a.data * s, (na,), bw_s)
     b = _wrap(b, a)
-    out_data = a.data * b.data
+    nb = b._node
+    # each side's gradient reads the other side's data
+    ad = a.data if nb is not None else None
+    bd = b.data if na is not None else None
 
     def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if na is not None:
+            _accum(na, g * bd)
+        if nb is not None:
+            _accum(nb, g * ad)
 
-    return _make(out_data, (a, b), bw)
+    return _make(a.data * b.data, (na, nb), bw)
 
 
 def div(a, b) -> Tensor:
@@ -383,13 +458,17 @@ def div(a, b) -> Tensor:
     if np.isscalar(b):
         return mul(a, 1.0 / float(b))
     b = _wrap(b, a)
-    out_data = a.data / b.data
+    na, nb, bd = a._node, b._node, b.data
+    out_data = a.data / bd
+    q = out_data if nb is not None else None  # read by b's gradient only
 
     def bw(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-g * out_data / b.data, b.data.shape))
+        if na is not None:
+            _accum(na, g / bd)
+        if nb is not None:
+            _accum(nb, -g * q / bd)
 
-    return _make(out_data, (a, b), bw)
+    return _make(out_data, (na, nb), bw)
 
 
 def pow_scalar(a: Tensor, e: float) -> Tensor:
@@ -397,61 +476,64 @@ def pow_scalar(a: Tensor, e: float) -> Tensor:
         raise FloatingPointError(f"pow_scalar of negative value to the fractional power {e}")
     if e < 0 and (a.data == 0).any():  # non-negative exponents skip the scan
         raise FloatingPointError(f"pow_scalar of zero to the negative power {e}")
-    out_data = a.data**e
+    na, ad = a._node, a.data
 
     def bw(g):
-        _accum(a, g * e * a.data ** (e - 1))
+        base = ad
+        if e < 1:  # base ** (e - 1) is infinite at a zero base: clamp it, as sqrt clamps
+            base = np.where(ad == 0, np.finfo(ad.dtype).tiny, ad)
+        _accum(na, g * e * base ** (e - 1))
 
-    return _make(out_data, (a,), bw)
+    return _make(ad**e, (na,), bw)
 
 
 def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
+    out_data, na = np.exp(a.data), a._node
 
     def bw(g):
-        _accum(a, g * out_data)
+        _accum(na, g * out_data)
 
-    return _make(out_data, (a,), bw)
+    return _make(out_data, (na,), bw)
 
 
 def log(a: Tensor) -> Tensor:
     if (a.data <= 0).any():
         raise FloatingPointError("log of non-positive value")
-    out_data = np.log(a.data)
+    na, ad = a._node, a.data
 
     def bw(g):
-        _accum(a, g / a.data)
+        _accum(na, g / ad)
 
-    return _make(out_data, (a,), bw)
+    return _make(np.log(ad), (na,), bw)
 
 
 def sqrt(a: Tensor) -> Tensor:
     if (a.data < 0).any():
         raise FloatingPointError("sqrt of negative value")
-    out_data = np.sqrt(a.data)
+    out_data, na = np.sqrt(a.data), a._node
 
     def bw(g):
-        _accum(a, g * 0.5 / np.maximum(out_data, np.finfo(out_data.dtype).tiny))
+        _accum(na, g * 0.5 / np.maximum(out_data, np.finfo(out_data.dtype).tiny))
 
-    return _make(out_data, (a,), bw)
+    return _make(out_data, (na,), bw)
 
 
 def tabs(a: Tensor) -> Tensor:
-    out_data = np.abs(a.data)
+    na, ad = a._node, a.data
 
     def bw(g):
-        _accum(a, g * np.sign(a.data))
+        _accum(na, g * np.sign(ad))
 
-    return _make(out_data, (a,), bw)
+    return _make(np.abs(ad), (na,), bw)
 
 
 def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
+    out_data, na = np.tanh(a.data), a._node
 
     def bw(g):
-        _accum(a, g * (1.0 - out_data * out_data))
+        _accum(na, g * (1.0 - out_data * out_data))
 
-    return _make(out_data, (a,), bw)
+    return _make(out_data, (na,), bw)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -467,39 +549,40 @@ def sigmoid(a: Tensor) -> Tensor:
     out_data = np.where(x >= 0, 1.0, e)
     e += 1.0
     out_data /= e
+    na = a._node
 
     def bw(g):
-        _accum(a, g * out_data * (1.0 - out_data))
+        _accum(na, g * out_data * (1.0 - out_data))
 
-    return _make(out_data, (a,), bw)
+    return _make(out_data, (na,), bw)
 
 
 def relu(a: Tensor) -> Tensor:
-    out_data = np.maximum(a.data, 0)
+    out_data, na = np.maximum(a.data, 0), a._node
 
     def bw(g):
-        _accum(a, g * (out_data > 0))
+        _accum(na, g * (out_data > 0))
 
-    return _make(out_data, (a,), bw)
+    return _make(out_data, (na,), bw)
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values to [lo, hi]; gradient passes through the closed interval."""
-    out_data = np.clip(a.data, lo, hi)
+    na, ad = a._node, a.data
 
     def bw(g):
-        _accum(a, g * ((a.data >= lo) & (a.data <= hi)))
+        _accum(na, g * ((ad >= lo) & (ad <= hi)))
 
-    return _make(out_data, (a,), bw)
+    return _make(np.clip(ad, lo, hi), (na,), bw)
 
 
 def clamp_min(a: Tensor, lo: float) -> Tensor:
-    out_data = np.maximum(a.data, lo)
+    na, ad = a._node, a.data
 
     def bw(g):
-        _accum(a, g * (a.data >= lo))
+        _accum(na, g * (ad >= lo))
 
-    return _make(out_data, (a,), bw)
+    return _make(np.maximum(ad, lo), (na,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -510,15 +593,16 @@ def clamp_min(a: Tensor, lo: float) -> Tensor:
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
     out_data = np.asarray(out_data, dtype=a.dtype)
+    na = a._node
 
     def bw(g):
         gg = np.asarray(g)
         if axis is not None and not keepdims:
             axes = axis if isinstance(axis, tuple) else (axis,)
             gg = np.expand_dims(gg, axes)
-        _accum(a, np.broadcast_to(gg, a.data.shape))
+        _accum(na, np.broadcast_to(gg, na.shape))
 
-    return _make(out_data, (a,), bw)
+    return _make(out_data, (na,), bw)
 
 
 def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -533,25 +617,21 @@ def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out_data = a.data.reshape(shape)
+    na = a._node
 
     def bw(g):
-        _accum(a, g.reshape(a.data.shape))
+        _accum(na, g.reshape(na.shape))
 
-    return _make(out_data, (a,), bw)
+    return _make(a.data.reshape(shape), (na,), bw)
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
-    out_data = a.data.transpose(axes)
+    na = a._node
 
     def bw(g):
-        if axes is None:
-            _accum(a, g.transpose())
-        else:
-            inv = np.argsort(axes)
-            _accum(a, g.transpose(inv))
+        _accum(na, g.transpose(None if axes is None else np.argsort(axes)))
 
-    return _make(out_data, (a,), bw)
+    return _make(a.data.transpose(axes), (na,), bw)
 
 
 def getitem(a: Tensor, key) -> Tensor:
@@ -560,32 +640,33 @@ def getitem(a: Tensor, key) -> Tensor:
         out_data = np.asarray(out_data, dtype=a.dtype)
     # only list/array keys can repeat an element; np.add.at is ~10x slower than +=
     fancy = any(isinstance(k, (list, np.ndarray)) for k in (key if isinstance(key, tuple) else (key,)))
+    na = a._node
 
     def bw(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)  # own buffer: a.grad may be borrowed
-            if fancy:
-                np.add.at(ga, key, g)
-            else:
-                ga[key] = g
-            _accum(a, ga)
+        ga = np.zeros(na.shape, na.dtype)  # own buffer: the input's gradient may be borrowed
+        if fancy:
+            np.add.at(ga, key, g)
+        else:
+            ga[key] = g
+        _accum(na, ga)
 
-    return _make(out_data, (a,), bw)
+    return _make(out_data, (na,), bw)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = list(tensors)
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+    nodes = [t._node for t in tensors]
 
     def bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accum(t, g[tuple(sl)])
+        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if n is not None:
+                sl = [slice(None)] * g.ndim
+                sl[axis] = slice(lo, hi)
+                _accum(n, g[tuple(sl)])
 
-    return _make(out_data, tuple(tensors), bw)
+    return _make(out_data, nodes, bw)
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -605,17 +686,18 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product with numpy broadcasting on leading dims."""
-    out_data = np.matmul(a.data, b.data)
+    na, nb = a._node, b._node
+    # each side's gradient reads the other side's data
+    ad = a.data if nb is not None else None
+    bd = b.data if na is not None else None
 
     def bw(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            _accum(a, _unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            _accum(b, _unbroadcast(gb, b.data.shape))
+        if na is not None:
+            _accum(na, np.matmul(g, np.swapaxes(bd, -1, -2)))
+        if nb is not None:
+            _accum(nb, np.matmul(np.swapaxes(ad, -1, -2), g))
 
-    return _make(out_data, (a, b), bw)
+    return _make(np.matmul(a.data, b.data), (na, nb), bw)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -624,22 +706,23 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ValueError(
             f"linear: input last dim {x.data.shape[-1]} != weight in dim {weight.data.shape[1]}"
         )
-    out_data = np.matmul(x.data, weight.data.T)
+    wd = weight.data
+    out_data = np.matmul(x.data, wd.T)
     if bias is not None:
         out_data = out_data + bias.data
+    nx, nw, nb = x._node, weight._node, None if bias is None else bias._node
+    xd = x.data if nw is not None else None  # read by the weight gradient only
 
     def bw(g):
-        if x.requires_grad:
-            _accum(x, np.matmul(g, weight.data))
-        if weight.requires_grad:
+        if nx is not None:
+            _accum(nx, np.matmul(g, wd))
+        if nw is not None:
             g2 = g.reshape(-1, g.shape[-1])
-            x2 = x.data.reshape(-1, x.data.shape[-1])
-            _accum(weight, g2.T @ x2)
-        if bias is not None and bias.requires_grad:
-            _accum(bias, g.reshape(-1, g.shape[-1]).sum(axis=0))
+            _accum(nw, g2.T @ xd.reshape(-1, xd.shape[-1]))
+        if nb is not None:
+            _accum(nb, g.reshape(-1, g.shape[-1]).sum(axis=0))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _make(out_data, parents, bw)
+    return _make(out_data, (nx, nw, nb), bw)
 
 
 # Size cap of one softmax block; a block holds at least one row or slice
@@ -705,15 +788,16 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
             bs = ob.sum(axis=1, keepdims=True)
             total = bs if total is None else np.add(total, bs, out=total)
         o3 /= total
+    nx = x._node
 
     def bw(g):
         gx = np.multiply(g, out_data)
         dot = gx.sum(axis=axis, keepdims=True)
         np.subtract(g, dot, out=gx)
         gx *= out_data
-        _accum(x, gx)
+        _accum(nx, gx)
 
-    return _make(out_data, (x,), bw)
+    return _make(out_data, (nx,), bw)
 
 
 def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-8) -> Tensor:
@@ -722,7 +806,7 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-8) -> Tensor:
         raise ValueError("l2_normalize eps must be positive")
     n = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True))
     d = np.maximum(n, eps)
-    out_data = x.data / d
+    out_data, nx = x.data / d, x._node
 
     def bw(g):
         clamped = n < eps
@@ -730,9 +814,9 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-8) -> Tensor:
         # unit-norm branch also removes the radial component
         proj = (g * out_data).sum(axis=axis, keepdims=True)
         gx_full = (g - out_data * proj) / d
-        _accum(x, np.where(clamped, gx, gx_full))
+        _accum(nx, np.where(clamped, gx, gx_full))
 
-    return _make(out_data, (x,), bw)
+    return _make(out_data, (nx,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -819,12 +903,12 @@ def conv2d(
     pshape = (n, c, h + 2 * padding, wd + 2 * padding)
     inner = np.s_[..., padding : padding + h, padding : padding + wd]  # the input inside its zero border
 
-    def padded():
-        """The input inside a zero border of `padding`, filled by slice assignment."""
+    def padded(xd):
+        """Input `xd` inside a zero border of `padding`, filled by slice assignment."""
         if not padding:
-            return x.data
-        xp = np.zeros(pshape, dtype=x.data.dtype)
-        xp[inner] = x.data
+            return xd
+        xp = np.zeros(pshape, dtype=xd.dtype)
+        xp[inner] = xd
         return xp
 
     def block(buf, r0, r1):
@@ -834,7 +918,7 @@ def conv2d(
 
     out_data = np.empty((n, o, oh, ow), dtype=np.result_type(x.data, weight.data))
     out4 = out_data.reshape(n, groups, o // groups, oh * ow)  # a block's columns are a view
-    xp, buf = padded(), np.empty(c * kh * kw * n * rows * ow, dtype=x.data.dtype)
+    xp, buf = padded(x.data), np.empty(c * kh * kw * n * rows * ow, dtype=x.data.dtype)
     for r0, r1 in blocks:
         cols, mat = block(buf, r0, r1)
         _im2col(xp, cols, stride, r0)
@@ -842,12 +926,15 @@ def conv2d(
             np.matmul(w2, image_cols, out=out4[k, ..., r0 * ow : r1 * ow])
     if bias is not None:
         out_data += bias.data[None, :, None, None]
+    nx, nw, nb = x._node, weight._node, None if bias is None else bias._node
+    xd = x.data if nw is not None else None  # read by the weight gradient only
+    dtype = x.data.dtype
 
     def bw(g):
         gy = g.reshape(n, groups, o // groups, oh * ow)
-        xp = padded() if weight.requires_grad else None
-        gxp = np.zeros(pshape, dtype=x.data.dtype) if x.requires_grad else None
-        buf, gw = np.empty(c * kh * kw * n * rows * ow, dtype=x.data.dtype), None
+        xp = padded(xd) if nw is not None else None
+        gxp = np.zeros(pshape, dtype=dtype) if nx is not None else None
+        buf, gw = np.empty(c * kh * kw * n * rows * ow, dtype=dtype), None
         for r0, r1 in blocks:
             gyb = gy[..., r0 * ow : r1 * ow].transpose(1, 2, 0, 3).reshape(groups, o // groups, -1)
             cols, mat = block(buf, r0, r1)
@@ -859,14 +946,13 @@ def conv2d(
                 np.matmul(w2.transpose(0, 2, 1), gyb, out=mat)  # the patch gradient overwrites the patches
                 _col2im(gxp, cols, stride, r0)
         if gw is not None:
-            _accum(weight, gw.reshape(weight.data.shape))
+            _accum(nw, gw.reshape(nw.shape))
         if gxp is not None:
-            _accum(x, gxp[inner])
-        if bias is not None and bias.requires_grad:
-            _accum(bias, g.sum(axis=(0, 2, 3)))
+            _accum(nx, gxp[inner])
+        if nb is not None:
+            _accum(nb, g.sum(axis=(0, 2, 3)))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _make(out_data, parents, bw)
+    return _make(out_data, (nx, nw, nb), bw)
 
 
 def batchnorm2d(
@@ -915,26 +1001,28 @@ def batchnorm2d(
         scale = inv_std * gamma.data
         out_data = np.multiply(x.data, per_channel(scale), dtype=dtype)
         out_data += per_channel(beta.data - mean * scale)
+    nx, ngamma, nbeta = x._node, gamma._node, beta._node
+    xd, gd = x.data, gamma.data
 
     def bw(g):
         # recompute x_hat from x into the buffer that becomes the input gradient
-        buf = x.data - per_channel(mean)
+        buf = xd - per_channel(mean)
         buf *= per_channel(inv_std)
         g_sum = g.sum(axis=axes)
         g_xhat = (g * buf).sum(axis=axes)
-        _accum(gamma, g_xhat)
-        _accum(beta, g_sum)
-        if x.requires_grad:
+        _accum(ngamma, g_xhat)
+        _accum(nbeta, g_sum)
+        if nx is not None:
             if training:
                 buf *= per_channel(-g_xhat / cnt)
                 buf += g
                 buf -= per_channel(g_sum / cnt)
-                buf *= per_channel(gamma.data * inv_std)
+                buf *= per_channel(gd * inv_std)
             else:
-                np.multiply(g, per_channel(gamma.data * inv_std), out=buf)
-            _accum(x, buf)
+                np.multiply(g, per_channel(gd * inv_std), out=buf)
+            _accum(nx, buf)
 
-    return _make(out_data, (x, gamma, beta), bw)
+    return _make(out_data, (nx, ngamma, nbeta), bw)
 
 
 _UP2_CACHE: dict = {}
@@ -962,9 +1050,9 @@ def bilinear_upsample2x(x: Tensor) -> Tensor:
     n, c, h, w = x.data.shape
     uh = _up2_matrix(h, x.dtype)
     uw = _up2_matrix(w, x.dtype)
-    out_data = uh @ x.data @ uw.T
+    nx = x._node
 
     def bw(g):
-        _accum(x, uh.T @ g @ uw)
+        _accum(nx, uh.T @ g @ uw)
 
-    return _make(out_data, (x,), bw)
+    return _make(uh @ x.data @ uw.T, (nx,), bw)

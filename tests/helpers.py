@@ -44,6 +44,7 @@ def check_gradients(builder, arrays, h=1e-4, rtol=1e-4, atol=1e-7):
 
     numeric = fd_gradient(scalar_fn, arrays, h=h)
     for i, (t, num) in enumerate(zip(tensors, numeric)):
+        assert t.grad is not None, f"input {i} received no gradient: backward did not reach it"
         np.testing.assert_allclose(
             t.grad, num, rtol=rtol, atol=atol,
             err_msg=f"analytic/finite-difference mismatch on input {i}",

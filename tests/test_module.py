@@ -93,3 +93,23 @@ def test_parameter_copies_its_input():
     p.data -= 1.0  # an in-place step leaves the caller's array alone
     np.testing.assert_array_equal(a, 0.0)
     assert np.shares_memory(Tensor(a).data, a)  # plain tensors still wrap without a copy
+
+
+def test_zero_grad_releases_every_parameter_gradient():
+    net = Net(0)
+    x = Tensor(np.random.default_rng(3).normal(size=(2, 2, 5, 5)).astype(np.float32))
+    net(x).sum().backward()
+    assert all(p.grad is not None for p in net.parameters())
+    net.zero_grad()
+    assert all(p.grad is None for p in net.parameters())
+
+
+def test_float64_copy_gets_float64_gradients():
+    """Reassigning the parameters' data after construction, as a float64
+    copy of a model does, gives gradients of the new dtype."""
+    net = Net(0)
+    for p in net.parameters():
+        p.data = p.data.astype(np.float64)
+    net(Tensor(np.random.default_rng(4).normal(size=(2, 2, 5, 5)))).sum().backward()
+    for name, p in net.named_parameters():
+        assert p.grad.dtype == np.float64 and p.grad.shape == p.shape, name

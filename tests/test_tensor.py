@@ -4,7 +4,9 @@ and tape gradients against the finite-difference oracle in helpers."""
 import ctypes
 import resource
 import tracemalloc
+import types
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -510,6 +512,15 @@ class TestNegativeInputs:
         with pytest.raises(FloatingPointError, match="pow_scalar"):
             T.pow_scalar(Tensor(np.array([1.0, 0.0])), e)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("e", [0.5, 0.25, 0.0])
+    def test_power_below_one_has_a_finite_gradient_at_zero(self, e, dtype):
+        xs = np.array([0.0, 1.0, 4.0], dtype=dtype)
+        x = Tensor(xs, requires_grad=True)
+        (x**e).sum().backward()  # a divide-by-zero warning would fail the test
+        assert np.isfinite(x.grad).all()
+        np.testing.assert_array_equal(x.grad[1:], e * xs[1:] ** (e - 1))
+
     def test_integer_power_of_negative_is_allowed(self):
         x = Tensor(np.array([-2.0]), requires_grad=True)
         y = x**2.0
@@ -586,13 +597,14 @@ class TestGradientOwnership:
     def test_closure_receives_an_ndarray_of_the_node_dtype(self):
         seen = []
         a = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-        h = T._make(np.asarray(a.data.sum()), (a,), seen.append)  # a 0-d float32 node that records its gradient
+        h = T._make(np.asarray(a.data.sum()), (a._node,), seen.append)  # a 0-d float32 node that records its gradient
         (h * Tensor(np.array(2.0))).backward()  # float64 operand; 0-d products are numpy scalars
         assert type(seen[0]) is np.ndarray and seen[0].dtype == np.float32
 
 
 def test_tape_keeps_only_the_outputs():
-    """conv -> batchnorm -> relu holds its three outputs and little else."""
+    """conv -> batchnorm -> relu holds the conv and relu outputs and little else:
+    the batch norm output is read by no backward."""
     rng = np.random.default_rng(19)
     x = Tensor(rng.standard_normal((2, 8, 64, 64), dtype=np.float32), requires_grad=True)
     w = Tensor(0.1 * rng.standard_normal((8, 8, 3, 3), dtype=np.float32), requires_grad=True)
@@ -606,7 +618,112 @@ def test_tape_keeps_only_the_outputs():
     finally:
         tracemalloc.stop()
     assert y.shape == x.shape
-    assert held <= 1.1 * 3 * x.data.nbytes
+    assert held <= 1.1 * 2 * x.data.nbytes
+
+
+class TestGraphNodes:
+    """The tape holds the arrays backward reads and frees the rest."""
+
+    def test_batchnorm_output_is_freed_before_backward(self):
+        rng = np.random.default_rng(20)
+        x = Tensor(rng.standard_normal((2, 4, 8, 8), dtype=np.float32), requires_grad=True)
+        gamma, beta = Tensor(np.ones(4, np.float32), requires_grad=True), Tensor(np.zeros(4, np.float32), requires_grad=True)
+        h = T.batchnorm2d(x, np.zeros(4, np.float32), np.ones(4, np.float32), gamma, beta, training=True)
+        freed = weakref.ref(h.data)
+        y = T.relu(h)
+        del h
+        assert freed() is None  # relu's backward reads its own output only
+        y.sum().backward()
+        assert np.isfinite(x.grad).all()
+
+    def test_dual_softmax_scores_are_freed_and_softmax_outputs_kept(self):
+        rng = np.random.default_rng(21)
+        f = Tensor(rng.standard_normal((2, 16, 8), dtype=np.float32), requires_grad=True)
+        raw = f[:1] @ f[1:].transpose(0, 2, 1)
+        scaled = raw * 0.125
+        by_row, by_col = T.softmax(scaled, axis=2), T.softmax(scaled, axis=1)
+        conf = by_row * by_col
+        freed = [weakref.ref(t.data) for t in (raw, scaled)]
+        kept = [weakref.ref(t.data) for t in (by_row, by_col)]
+        del raw, scaled, by_row, by_col
+        assert all(r() is None for r in freed)
+        assert all(r() is not None for r in kept)
+        T.gather_rows(conf.reshape(-1), [0, 17, 17]).sum().backward()
+        assert all(r() is None for r in kept)  # released as backward unwinds
+        assert np.isfinite(f.grad).all()
+
+    def test_arrays_backward_reads_live_until_backward(self):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.standard_normal((2, 3, 8, 8), dtype=np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, 3, 3), dtype=np.float32), requires_grad=True)
+        gamma, beta = Tensor(np.ones(4, np.float32), requires_grad=True), Tensor(np.zeros(4, np.float32), requires_grad=True)
+        conv_in = T.relu(x)
+        bn_in = T.conv2d(conv_in, w, padding=1)
+        loss = T.batchnorm2d(bn_in, np.zeros(4, np.float32), np.ones(4, np.float32), gamma, beta, training=True).sum()
+        refs = [weakref.ref(t.data) for t in (conv_in, bn_in)]
+        del conv_in, bn_in
+        assert all(r() is not None for r in refs)
+        loss.backward()
+        assert all(r() is None for r in refs)
+        assert w.grad.shape == w.shape and x.grad.shape == x.shape
+
+    def test_zero_grad_releases_and_an_unreached_leaf_keeps_none(self):
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = Tensor(np.array([3.0]), requires_grad=True)
+        (a * 2.0).sum().backward()
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0])
+        assert b.grad is None
+        a.zero_grad()
+        assert a.grad is None
+
+    def test_leaf_gradient_follows_reassigned_data(self):
+        p = Tensor(np.array([1.0, -2.0], dtype=np.float32), requires_grad=True)
+        p.data = p.data.astype(np.float64)
+        (p * p).sum().backward()
+        assert p.grad.dtype == np.float64 and p.grad.shape == (2,)
+        np.testing.assert_array_equal(p.grad, [2.0, -4.0])
+
+    def test_grad_and_requires_grad_are_writable(self):
+        x = Tensor(np.ones(2))
+        assert x.grad is None and not x.requires_grad
+        x.grad = None
+        with pytest.raises(ValueError, match="does not require grad"):
+            x.grad = np.zeros(2)
+        x.requires_grad = True
+        (x * 3.0).sum().backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+        x.grad = None
+        assert x.grad is None
+        x.requires_grad = False
+        assert x.grad is None and not (x * 2.0).requires_grad
+
+    def test_no_grad_makes_no_node(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with T.no_grad():
+            y = T.relu(x * 2.0) + x
+        assert y._node is None and not y.requires_grad
+
+
+@pytest.mark.parametrize("padding,stride", [(0, 1), (1, 2)])
+def test_transposed_view_matches_contiguous_copy(padding, stride):
+    """softmax and conv2d read a strided view as they read its contiguous copy."""
+    rng = np.random.default_rng(23)
+    for op, base_shape, axes in (
+        (lambda t: T.softmax(t, axis=1), (3, 5, 7), (2, 0, 1)),
+        (lambda t: T.softmax(t, axis=-1), (3, 5, 7), (2, 0, 1)),
+        (lambda t: T.conv2d(t, w, padding=padding, stride=stride), (2, 6, 6, 3), (0, 3, 1, 2)),
+    ):
+        w = Tensor(rng.standard_normal((4, base_shape[-1], 3, 3), dtype=np.float32))
+        base = Tensor(rng.standard_normal(base_shape, dtype=np.float32), requires_grad=True)
+        view = base.transpose(axes)
+        assert not view.data.flags.c_contiguous
+        copy = Tensor(view.data.copy(), requires_grad=True)
+        y_view, y_copy = op(view), op(copy)
+        np.testing.assert_array_equal(y_view.data, y_copy.data)
+        r = rng.standard_normal(y_copy.shape, dtype=np.float32)
+        (y_view * r).sum().backward()
+        (y_copy * r).sum().backward()
+        np.testing.assert_array_equal(base.grad.transpose(axes), copy.grad)
 
 
 @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="libc has no mallopt")
@@ -676,7 +793,7 @@ class TestArithmeticWithArrays:
     def test_scalars_keep_fast_path(self):
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         for y in (-x, x * np.float32(3.0), x / 2):
-            assert y._parents == (x,)
+            assert y._node.parents == (x._node,)
 
 
 _rng = np.random.default_rng(17)
@@ -741,6 +858,7 @@ GRAD_CASES = [
     ("concat-neg-axis", lambda a, b: T.concat([a, b], axis=-1), [_normal(2, 3, 2), _normal(2, 3, 4)]),
     ("gather_rows-1d-repeated", lambda x: T.gather_rows(x, [2, 0, 2, 2]), [_normal(4)]),
     ("gather_rows-2d-repeated", lambda x: T.gather_rows(x, [1, 3, 1, 0, 1]), [_normal(4, 3)]),
+    ("pow-half", lambda x: x**0.5, [_positive(3, 4)]),
 ]
 
 
@@ -749,6 +867,39 @@ def test_op_gradients(op, arrays):
     out = op(*[Tensor(a) for a in arrays])
     r = np.random.default_rng(18).normal(size=out.shape)  # drawn once: the builder runs per FD probe
     check_gradients(lambda *xs: (op(*xs) * r).sum(), arrays)
+
+
+def _closure_contents(fn):
+    """Every object the closure of `fn` captures, nested functions included."""
+    out = []
+    for cell in fn.__closure__ or ():
+        v = cell.cell_contents
+        out += _closure_contents(v) if isinstance(v, types.FunctionType) else [v]
+    return out
+
+
+def _graph_nodes(t):
+    stack, seen = [t._node], set()
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack += node.parents
+    return seen
+
+
+@pytest.mark.parametrize(
+    "op,arrays",
+    [case[1:] for case in GRAD_CASES] + [(lambda x, w: T.conv2d(x, w, padding=1), [_normal(2, 3, 4, 4), _normal(2, 3, 3, 3)])],
+    ids=[case[0] for case in GRAD_CASES] + ["conv2d"],
+)
+def test_no_node_or_closure_refers_to_a_tensor(op, arrays):
+    """The tape is a graph of nodes whose closures hold arrays, never a Tensor."""
+    out = op(*[Tensor(a, requires_grad=True) for a in arrays])
+    for node in _graph_nodes(out):
+        assert all(isinstance(p, T.Node) for p in node.parents)
+        if node.backward is not None:
+            assert not any(isinstance(v, Tensor) for v in _closure_contents(node.backward))
 
 
 # op, d(out)/da and d(out)/db as arrays of the broadcast shape
