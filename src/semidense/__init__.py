@@ -1,9 +1,11 @@
 """Semi-dense coarse-to-fine image feature matching at desk scale.
 
-A small numpy-backed autodiff engine drives a deep-narrow convolutional
-extractor, attention-based correlation transfer on deep features, dual-softmax
-coarse matching on the 1/8 grid, and a bidirectional per-axis regression head
-for subpixel refinement, trainable end-to-end on synthetic homography pairs.
+The package holds what a matcher is built from: a numpy-backed autodiff
+engine (`tensor`), parameter containers and layers (`module`), and the run
+configuration (`config`).  The matcher itself, a deep-narrow CNN extractor,
+attention on deep features, dual-softmax coarse matching on the 1/8 grid and
+a per-axis regression head, is for now the benchmark's graph in
+`bench/matcher.py`.
 """
 
 from .tensor import Tensor, no_grad

@@ -12,6 +12,7 @@ dict round trip is ``load_config(overrides=dataclasses.asdict(cfg))``.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -25,7 +26,6 @@ class Config:
     heads: int = 8
     rope_base: float = 100.0
     scc_bins: int = 16           # per-axis soft-classification bins
-    flow_blocks: int = 3
     injection: str = "gated"     # "gated" | "sum" (plain fusion fallback)
 
     # matching
@@ -93,14 +93,6 @@ class Config:
         need(self.batch_size >= 1, "batch_size", "must be >= 1")
         need(self.epochs >= 1, "epochs", "must be >= 1")
 
-    @property
-    def model_dim(self) -> int:
-        return self.channels[4]
-
-    @property
-    def head_dim(self) -> int:
-        return self.channels[4] // self.heads
-
 
 # the field that opens each section, in file order
 _SECTION_STARTS = {"channels": "model", "topk": "matching", "focal_alpha": "loss", "lr": "training", "seed": "data"}
@@ -114,7 +106,8 @@ def _parse(key: str, value, where: str):
     """Return `value` checked for field `key`; a string is parsed by the default's type.
 
     list fields take comma-separated ints; an int field rejects a float, and
-    a float field stores an int as a float.  `where` names the source.
+    a float field stores an int as a float and rejects nan and inf.  `where`
+    names the source.
     """
     if key not in _DEFAULTS:
         raise ValueError(f"{where}: unknown config key '{key}'")
@@ -125,10 +118,12 @@ def _parse(key: str, value, where: str):
         if kind is float and type(value) is int:
             value = float(value)
         if type(value) is kind and (kind is not list or all(type(v) is int for v in value)):
-            return value
+            if kind is not float or math.isfinite(value):
+                return value
     except ValueError:
         pass
-    raise ValueError(f"{where}: config key '{key}' expects {kind.__name__}, got {value!r}")
+    expected = "finite float" if kind is float else kind.__name__
+    raise ValueError(f"{where}: config key '{key}' expects {expected}, got {value!r}")
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> Config:

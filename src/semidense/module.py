@@ -95,9 +95,6 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
-    def num_parameters(self) -> int:
-        return sum(p.data.size for p in self.parameters())
-
 
 class Linear(Module):
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator, bias: bool = True, gain: float = np.sqrt(2.0)):
@@ -151,17 +148,3 @@ class BatchNorm2d(Module):
             training=self.training, momentum=self.momentum, eps=self.eps,
         )
 
-
-class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
-        super().__init__()
-        self.gamma = Parameter(np.ones(dim, dtype=np.float32))
-        self.beta = Parameter(np.zeros(dim, dtype=np.float32))
-        self.eps = eps
-
-    def __call__(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        xc = x - mu
-        var = (xc * xc).mean(axis=-1, keepdims=True)
-        xn = xc * ((var + self.eps) ** -0.5)
-        return xn * self.gamma + self.beta

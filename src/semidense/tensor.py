@@ -80,10 +80,6 @@ def _keep_freed_memory() -> None:
 _keep_freed_memory()
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 @contextmanager
 def no_grad():
     """Disable tape recording inside the block (inference fast path)."""
@@ -143,13 +139,9 @@ class Tensor:
 
     __slots__ = ("_data", "_node")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if isinstance(data, Tensor):
-            data = data.data
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self._data = np.asarray(arr, order="C")  # ascontiguousarray would turn 0-d into (1,)
         self._node = Node(None, (), arr.shape, arr.dtype) if requires_grad else None
@@ -170,13 +162,6 @@ class Tensor:
     @property
     def requires_grad(self) -> bool:
         return self._node is not None
-
-    @requires_grad.setter
-    def requires_grad(self, value: bool) -> None:
-        if not value:
-            self._node = None  # ops recorded so far keep their own reference to it
-        elif self._node is None:
-            self._node = Node(None, (), self._data.shape, self._data.dtype)
 
     @property
     def grad(self):
@@ -208,17 +193,9 @@ class Tensor:
     def item(self) -> float:
         return self.data.item()
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         """Release the gradient: `grad` is None until backward next reaches this tensor."""
         self.grad = None
-
-    def check_finite(self, name: str = "tensor") -> "Tensor":
-        if not np.isfinite(self.data).all():
-            raise FloatingPointError(f"non-finite values in {name}")
-        return self
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -284,18 +261,6 @@ class Tensor:
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         return transpose(self, axes if axes else None)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def sqrt(self):
-        return sqrt(self)
-
-    def abs(self):
-        return tabs(self)
 
 
 def _wrap(other, like: Tensor):
@@ -518,24 +483,6 @@ def sqrt(a: Tensor) -> Tensor:
     return _make(out_data, (na,), bw)
 
 
-def tabs(a: Tensor) -> Tensor:
-    na, ad = a._node, a.data
-
-    def bw(g):
-        _accum(na, g * np.sign(ad))
-
-    return _make(np.abs(ad), (na,), bw)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out_data, na = np.tanh(a.data), a._node
-
-    def bw(g):
-        _accum(na, g * (1.0 - out_data * out_data))
-
-    return _make(out_data, (na,), bw)
-
-
 def sigmoid(a: Tensor) -> Tensor:
     """Numerically stable logistic function.
 
@@ -564,16 +511,6 @@ def relu(a: Tensor) -> Tensor:
         _accum(na, g * (out_data > 0))
 
     return _make(out_data, (na,), bw)
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values to [lo, hi]; gradient passes through the closed interval."""
-    na, ad = a._node, a.data
-
-    def bw(g):
-        _accum(na, g * ((ad >= lo) & (ad <= hi)))
-
-    return _make(np.clip(ad, lo, hi), (na,), bw)
 
 
 def clamp_min(a: Tensor, lo: float) -> Tensor:
@@ -671,7 +608,10 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows of a 2-D (or 1-D) tensor by an integer index vector."""
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = np.asarray(indices)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise IndexError(f"gather_rows needs integer indices, got dtype {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False)
     n = a.data.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         bad = idx[(idx < 0) | (idx >= n)][0]

@@ -101,6 +101,21 @@ def test_int_field_type_error_in_file(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), -float("inf"), "nan", "-inf"], ids=["nan", "inf", "-inf", "nan-str", "-inf-str"]
+)
+def test_float_field_rejects_non_finite_override(value):
+    with pytest.raises(ValueError, match="override: config key 'focal_gamma' expects finite float"):
+        load_config(overrides={"focal_gamma": value})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_float_field_rejects_non_finite_in_file(tmp_path, value):
+    path = write(tmp_path, f"[loss]\nlambda_c = 2.0\nlambda_f = {value}\n")
+    with pytest.raises(ValueError, match=rf"{re.escape(path)}:3: config key 'lambda_f' expects finite float"):
+        load_config(path)
+
+
 def test_seed_precedence_file_env_override(tmp_path, monkeypatch):
     path = write(tmp_path, "[data]\nseed = 1\n")
     assert load_config(path).seed == 1

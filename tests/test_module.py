@@ -1,5 +1,6 @@
 """Tests of the module tree's state dict: strict keys and shapes, in-place
-copies that never alias the caller's arrays, and batchnorm buffers."""
+copies that never alias the caller's arrays, and batchnorm buffers; and of
+train/eval mode reaching every nested module."""
 
 import numpy as np
 import pytest
@@ -84,6 +85,25 @@ def test_batchnorm_buffers_restored():
     assert dst.bn.running_mean is running_mean
     np.testing.assert_array_equal(dst.bn.running_mean, src.bn.running_mean)
     np.testing.assert_array_equal(dst.bn.running_var, src.bn.running_var)
+
+
+def test_train_and_eval_reach_a_nested_batchnorm():
+    outer = Module()
+    outer.net = Net(0)
+    bn = outer.net.bn
+    h = outer.net.conv(Tensor(np.random.default_rng(5).normal(loc=2.0, size=(2, 2, 5, 5))))
+    bn(h)  # a training step moves the running statistics off their initial values
+    mean, var = bn.running_mean.copy(), bn.running_var.copy()
+    assert outer.eval() is outer and not outer.net.training and not bn.training
+    y = bn(h).data  # normalized by the running statistics, which stay as they were
+    np.testing.assert_allclose(y, (h.data - mean[:, None, None]) / np.sqrt(var[:, None, None] + bn.eps), rtol=1e-5)
+    np.testing.assert_array_equal(bn.running_mean, mean)
+    np.testing.assert_array_equal(bn.running_var, var)
+    assert outer.train() is outer and bn.training
+    y = bn(h).data  # normalized by the batch statistics again
+    np.testing.assert_allclose(y.mean(axis=(0, 2, 3)), 0.0, atol=1e-6)
+    np.testing.assert_allclose(y.var(axis=(0, 2, 3)), 1.0, rtol=1e-4)
+    assert not np.array_equal(bn.running_mean, mean)
 
 
 def test_parameter_copies_its_input():
