@@ -120,7 +120,7 @@ def _parse(key: str, value, where: str):
         if type(value) is kind and (kind is not list or all(type(v) is int for v in value)):
             if kind is not float or math.isfinite(value):
                 return value
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: an int too large for a float
         pass
     expected = "finite float" if kind is float else kind.__name__
     raise ValueError(f"{where}: config key '{key}' expects {expected}, got {value!r}")

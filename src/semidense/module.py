@@ -11,18 +11,17 @@ from .tensor import Tensor
 class Parameter(Tensor):
     """A trainable tensor; modules register these under dotted names.
 
-    It holds a copy of `data`, so an in-place step never rewrites the
-    caller's array.
+    It holds a float32 copy of `data`, so an in-place step never rewrites
+    the caller's array.
     """
 
-    def __init__(self, data, dtype=np.float32):
-        data = data.data if isinstance(data, Tensor) else data
-        super().__init__(np.array(data, dtype=dtype), requires_grad=True)
+    def __init__(self, data):
+        super().__init__(np.array(data, dtype=np.float32), requires_grad=True)
 
 
-def kaiming_normal(rng: np.random.Generator, shape, fan_in: int, gain: float = np.sqrt(2.0), dtype=np.float32):
+def kaiming_normal(rng: np.random.Generator, shape, fan_in: int, gain: float = np.sqrt(2.0)):
     std = gain / np.sqrt(fan_in)
-    return rng.normal(0.0, std, size=shape).astype(dtype)
+    return rng.normal(0.0, std, size=shape)
 
 
 class Module:
@@ -107,6 +106,8 @@ class Linear(Module):
 
 
 class Conv2d(Module):
+    """Kaiming-initialized `T.conv2d`, without bias: the batch norm after each conv cancels one."""
+
     def __init__(
         self,
         in_channels: int,
@@ -116,20 +117,18 @@ class Conv2d(Module):
         stride: int = 1,
         padding: int = 0,
         groups: int = 1,
-        bias: bool = False,
     ):
         super().__init__()
         fan_in = (in_channels // groups) * kernel_size * kernel_size
         self.weight = Parameter(
             kaiming_normal(rng, (out_channels, in_channels // groups, kernel_size, kernel_size), fan_in)
         )
-        self.bias = Parameter(np.zeros(out_channels, dtype=np.float32)) if bias else None
         self.stride = stride
         self.padding = padding
         self.groups = groups
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding, groups=self.groups)
+        return T.conv2d(x, self.weight, stride=self.stride, padding=self.padding, groups=self.groups)
 
 
 class BatchNorm2d(Module):

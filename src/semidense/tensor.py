@@ -394,16 +394,8 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     if not isinstance(a, Tensor):
         a = _wrap(a, b)
-    na = a._node
-    if np.isscalar(b):
-        s = float(b)
-
-        def bw_s(g):
-            _accum(na, g * s)
-
-        return _make(a.data * s, (na,), bw_s)
     b = _wrap(b, a)
-    nb = b._node
+    na, nb = a._node, b._node
     # each side's gradient reads the other side's data
     ad = a.data if nb is not None else None
     bd = b.data if na is not None else None
@@ -420,9 +412,9 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     if not isinstance(a, Tensor):
         a = _wrap(a, b)
-    if np.isscalar(b):
-        return mul(a, 1.0 / float(b))
     b = _wrap(b, a)
+    if (b.data == 0).any():
+        raise FloatingPointError("div by zero")
     na, nb, bd = a._node, b._node, b.data
     out_data = a.data / bd
     q = out_data if nb is not None else None  # read by b's gradient only
@@ -808,7 +800,6 @@ def _col2im(gxp, gcols, stride, r0):
 def conv2d(
     x: Tensor,
     weight: Tensor,
-    bias: Tensor | None = None,
     stride: int = 1,
     padding: int = 0,
     groups: int = 1,
@@ -818,6 +809,8 @@ def conv2d(
     One im2col-GEMM path serves dense, strided, grouped and depthwise
     (groups == in-channels) convolution: groups are a batch dim of `matmul`
     over the patch layout of `_im2col`, whose GEMM columns hold every image.
+    There is no bias: every conv of the matcher feeds a batch norm, which
+    subtracts any per-channel constant added before it.
 
     Patches are extracted one block of output rows at a time, across all
     images, into one buffer of at most `_CONV_BLOCK_BYTES` (at least one
@@ -864,9 +857,7 @@ def conv2d(
         _im2col(xp, cols, stride, r0)
         for k, image_cols in enumerate(np.split(mat, n, axis=2)):
             np.matmul(w2, image_cols, out=out4[k, ..., r0 * ow : r1 * ow])
-    if bias is not None:
-        out_data += bias.data[None, :, None, None]
-    nx, nw, nb = x._node, weight._node, None if bias is None else bias._node
+    nx, nw = x._node, weight._node
     xd = x.data if nw is not None else None  # read by the weight gradient only
     dtype = x.data.dtype
 
@@ -889,10 +880,8 @@ def conv2d(
             _accum(nw, gw.reshape(nw.shape))
         if gxp is not None:
             _accum(nx, gxp[inner])
-        if nb is not None:
-            _accum(nb, g.sum(axis=(0, 2, 3)))
 
-    return _make(out_data, (nx, nw, nb), bw)
+    return _make(out_data, (nx, nw), bw)
 
 
 def batchnorm2d(

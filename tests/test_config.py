@@ -109,6 +109,12 @@ def test_float_field_rejects_non_finite_override(value):
         load_config(overrides={"focal_gamma": value})
 
 
+@pytest.mark.parametrize("key", ["lr", "warp_scale"])
+def test_float_field_rejects_int_too_large_for_a_float(key):
+    with pytest.raises(ValueError, match=f"override: config key '{key}' expects finite float"):
+        load_config(overrides={key: 10**400})
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
 def test_float_field_rejects_non_finite_in_file(tmp_path, value):
     path = write(tmp_path, f"[loss]\nlambda_c = 2.0\nlambda_f = {value}\n")

@@ -19,7 +19,7 @@ from semidense import tensor as T
 from semidense.tensor import Tensor
 
 
-def conv2d_loops(x, w, b=None, stride=1, padding=1, groups=1):
+def conv2d_loops(x, w, stride=1, padding=1, groups=1):
     """Direct six-loop convolution reference."""
     n, c, h, wd = x.shape
     o, cg, kh, kw = w.shape
@@ -41,7 +41,7 @@ def conv2d_loops(x, w, b=None, stride=1, padding=1, groups=1):
                                     xp[ni, gi * cg + ci, yy * stride + i, xx * stride + j]
                                     * w[oi, ci, i, j]
                                 )
-                    y[ni, oi, yy, xx] = acc + (b[oi] if b is not None else 0.0)
+                    y[ni, oi, yy, xx] = acc
     return y
 
 
@@ -78,9 +78,8 @@ class TestConv2d:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 4, 7, 6))
         w = rng.normal(size=(4, 4 // groups, 3, 3))
-        b = rng.normal(size=4)
-        y = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding, groups=groups)
-        ref = conv2d_loops(x, w, b, stride=stride, padding=padding, groups=groups)
+        y = T.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding, groups=groups)
+        ref = conv2d_loops(x, w, stride=stride, padding=padding, groups=groups)
         np.testing.assert_allclose(y.data, ref, atol=1e-9)
 
     def test_depthwise_equals_per_channel(self):
@@ -119,6 +118,8 @@ class TestConv2d:
         ],
     )
     def test_gradients(self, cin, cout, k, stride, padding, groups, bias):
+        """`bias` adds a per-channel constant after the conv, as a caller
+        without a batch norm behind the conv would."""
         rng = np.random.default_rng(14)
         x = rng.normal(size=(2, cin, 5, 6))
         w = rng.normal(size=(cout, cin // groups, k, k))
@@ -128,7 +129,8 @@ class TestConv2d:
         arrays = [x, w] + ([rng.normal(size=cout)] if bias else [])
 
         def loss(x, w, b=None):
-            return (T.conv2d(x, w, b, stride=stride, padding=padding, groups=groups) * r).sum()
+            y = T.conv2d(x, w, stride=stride, padding=padding, groups=groups)
+            return ((y if b is None else y + b.reshape(-1, 1, 1)) * r).sum()
 
         check_gradients(loss, arrays)
 
@@ -163,7 +165,8 @@ class TestConv2d:
         arrays = [x, w] + ([rng.normal(size=cout)] if bias else [])
 
         def loss(x, w, b=None):
-            return (T.conv2d(x, w, b, stride=stride, padding=padding, groups=groups) * r).sum()
+            y = T.conv2d(x, w, stride=stride, padding=padding, groups=groups)
+            return ((y if b is None else y + b.reshape(-1, 1, 1)) * r).sum()
 
         check_gradients(loss, arrays)
 
@@ -172,11 +175,10 @@ class TestConv2d:
         rng = np.random.default_rng(16)
         x = rng.standard_normal((2, 8, 21, 20), dtype=np.float32)
         w = 0.1 * rng.standard_normal((8, 8, 3, 3), dtype=np.float32)
-        b = rng.standard_normal(8, dtype=np.float32)
         ow = (20 + 2 - 3) // stride + 1
 
         def run():
-            ts = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+            ts = [Tensor(a, requires_grad=True) for a in (x, w)]
             y = T.conv2d(*ts, stride=stride, padding=1)
             (y * y).sum().backward()
             return [y.data] + [t.grad for t in ts]
@@ -202,38 +204,36 @@ class TestConv2d:
         self.rows_per_block(monkeypatch, x, 3, ow, 3)
         r = rng.normal(size=(batch, 4, oh, ow))
 
-        def loss(x, w, b):
-            return (T.conv2d(x, w, b, stride=stride, padding=padding, groups=2) * r).sum()
+        def loss(x, w):
+            return (T.conv2d(x, w, stride=stride, padding=padding, groups=2) * r).sum()
 
-        check_gradients(loss, [x, w, rng.normal(size=4)])
+        check_gradients(loss, [x, w])
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_batch_agrees_with_image_by_image(self, monkeypatch, stride):
         rng = np.random.default_rng(18)
         x = rng.standard_normal((3, 8, 21, 20), dtype=np.float32)
         w = 0.1 * rng.standard_normal((8, 4, 3, 3), dtype=np.float32)
-        b = rng.standard_normal(8, dtype=np.float32)
         ow = (20 + 2 - 3) // stride + 1
 
         def run(xs):
             # the same 4 output rows per block whatever the batch, so col2im
             # adds each input-gradient element in the same order
             self.rows_per_block(monkeypatch, xs, 3, ow, 4)
-            ts = [Tensor(a, requires_grad=True) for a in (xs, w, b)]
+            ts = [Tensor(a, requires_grad=True) for a in (xs, w)]
             y = T.conv2d(*ts, stride=stride, padding=1, groups=2)
             (y * y).sum().backward()
             return [y.data] + [t.grad for t in ts]
 
-        y, gx, gw, gb = run(x)
+        y, gx, gw = run(x)
         assert y.shape[2] > 4, "the case must run several blocks"
         solo = [run(x[k : k + 1]) for k in range(3)]
         assert y.dtype == gx.dtype == np.float32
         np.testing.assert_array_equal(y, np.concatenate([s[0] for s in solo]))
         np.testing.assert_array_equal(gx, np.concatenate([s[1] for s in solo]))
         # the batched GEMM sums the images in its own order
-        for got, parts in ((gw, [s[2] for s in solo]), (gb, [s[3] for s in solo])):
-            ref = np.sum(parts, axis=0)
-            np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max())
+        ref = np.sum([s[2] for s in solo], axis=0)
+        np.testing.assert_allclose(gw, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max())
 
     def test_shape_errors(self):
         x = Tensor(np.zeros((1, 3, 4, 4)))
@@ -521,6 +521,15 @@ class TestNegativeInputs:
         assert np.isfinite(x.grad).all()
         np.testing.assert_array_equal(x.grad[1:], e * xs[1:] ** (e - 1))
 
+    @pytest.mark.parametrize(
+        "a,b",
+        [(Tensor([1.0, 2.0]), 0.0), (Tensor([1.0, 2.0]), Tensor([1.0, 0.0])), (1.0, Tensor([0.0]))],
+        ids=["by-scalar-zero", "by-tensor-with-zero", "scalar-by-zero"],
+    )
+    def test_div_by_zero_raises(self, a, b):
+        with pytest.raises(FloatingPointError, match="div"):
+            a / b
+
     def test_integer_power_of_negative_is_allowed(self):
         x = Tensor(np.array([-2.0]), requires_grad=True)
         y = x**2.0
@@ -796,6 +805,19 @@ class TestArithmeticWithArrays:
         np.testing.assert_array_equal(T.div(x, b).data, (x.data / b).astype(np.float32))
         assert T.mul(x, b).dtype == np.float32
 
+    def test_div_by_scalar_rounds_as_numpy_divides(self):
+        x = Tensor(np.random.default_rng(19).standard_normal(10_000, dtype=np.float32))
+        expected = x.data / np.float32(3.0)
+        np.testing.assert_array_equal(T.div(x, 3.0).data, expected)
+        np.testing.assert_array_equal(T.div(x, np.float32(3.0)).data, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mul_by_scalar_and_neg_round_as_numpy(self, dtype):
+        x = Tensor(np.random.default_rng(20).standard_normal(10_000).astype(dtype))
+        for got, expected in ((x * 0.1, x.data * 0.1), (-x, -x.data)):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got.data, expected)
+
     def test_scalars_keep_fast_path(self):
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         for y in (-x, x * np.float32(3.0), x / 2):
@@ -862,6 +884,7 @@ GRAD_CASES = [
     ("gather_rows-1d-repeated", lambda x: T.gather_rows(x, [2, 0, 2, 2]), [_normal(4)]),
     ("gather_rows-2d-repeated", lambda x: T.gather_rows(x, [1, 3, 1, 0, 1]), [_normal(4, 3)]),
     ("pow-half", lambda x: x**0.5, [_positive(3, 4)]),
+    ("div-scalar", lambda x: x / 3.0, [_normal(3, 4)]),
 ]
 
 
