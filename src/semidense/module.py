@@ -67,8 +67,9 @@ class Module:
     def load_state_dict(self, state: dict, prefix: str = "") -> None:
         """Copy `state` into the own parameter and buffer arrays in place.
 
-        The keys must be exactly those of `state_dict()` with equal shapes;
-        nothing is written unless all match, and no array aliases `state`.
+        The keys must be exactly those of `state_dict()` with equal shapes
+        and finite values; nothing is written unless all hold, and no array
+        aliases `state`.
         """
         own = self.state_dict(prefix)
         missing, unexpected = sorted(own.keys() - state.keys()), sorted(state.keys() - own.keys())
@@ -77,6 +78,9 @@ class Module:
         wrong = {k: (np.shape(state[k]), own[k].shape) for k in own if np.shape(state[k]) != own[k].shape}
         if wrong:
             raise ValueError(f"state dict shape mismatch, (given, own) by key: {wrong}")
+        bad = sorted(k for k in own if not np.isfinite(state[k]).all())
+        if bad:
+            raise ValueError(f"state dict holds non-finite values under keys {bad}")
         for name, dst in own.items():
             dst[...] = state[name]
 

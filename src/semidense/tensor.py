@@ -16,8 +16,7 @@ it runs its max, subtract, exp, sum and divide passes on one cache-sized
 block (`_SOFTMAX_BLOCK_BYTES`) at a time, whole rows when the last axis is
 reduced and a run of slices along any other axis, because six whole-array
 passes over the 64 MB dual-softmax scores each stream the array from
-memory, while a block stays in cache across them.  The only threads are
-those of the BLAS library behind `np.matmul`.
+memory, while a block stays in cache across them.
 
 Graph state: a tensor is its `data` plus, when it requires grad, a `Node`.
 An op's output node holds the op's backward closure, the nodes of those
@@ -48,13 +47,40 @@ With the policy, a freed buffer is reused by the next step of the same
 shape.  Freed memory stays with the process, so its resident size does not
 shrink after a peak; the peak itself does not grow.  Where libc has no
 `mallopt`, the policy is a no-op.
+
+Thread policy (process-wide, set once at import): an op too large for
+one core splits into as many parts as the thread count OpenBLAS was given
+(`OPENBLAS_NUM_THREADS`, or OpenBLAS's default of one per core).  The
+calling thread runs the first part and count - 1 helper threads, started
+on the first split, run the others (`_split`).  BLAS threads only matrix
+products; a split also reaches the copies, elementwise passes, reductions
+and softmax that make up most of a step.  While a split runs, OpenBLAS is
+at one thread and its worker threads are stopped: after each threaded
+GEMM they spin for about 0.1 s on the other cores, where the helpers would
+wait for them, and OpenBLAS starts them again on its next threaded GEMM.
+Outside splits OpenBLAS keeps its count, so a single matrix product (which
+cannot split, see `_matmul`) and every op below `_SPLIT_BYTES` run exactly as
+without the policy.  An op splits on an axis whose slices are independent,
+and every output element then sees the same numpy calls on the same values
+in the same order as with one part, so the results do not depend on the
+count; the tests check this bit for bit.  The ops that split: conv2d per
+image (see `conv2d`), matmul and linear over batch axes (`_matmul`), softmax
+over rows or blocks (see `softmax`), batchnorm2d over channels, relu and
+mul over the leading axis.  With a count of one, without OpenBLAS, or while
+another thread's split holds the helpers, every op runs inline in the
+calling thread.  OpenBLAS is process-wide: the policy assumes that no other
+thread runs BLAS while an engine op splits.
 """
 
 from __future__ import annotations
 
 import ctypes
+import glob
 import math
+import os
+import threading
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -80,6 +106,115 @@ def _keep_freed_memory() -> None:
 _keep_freed_memory()
 
 
+def _openblas_threads():
+    """The thread-count getter and setter and the worker shutdown of numpy's
+    bundled OpenBLAS, found as `bench/harness.py` finds it; None where numpy
+    bundles no OpenBLAS or it lacks one of them."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
+    if not libs:
+        return None
+    lib = ctypes.CDLL(libs[0])
+    shutdown = getattr(lib, "blas_thread_shutdown_", None)
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+        get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+        if get is not None and put is not None and shutdown is not None:
+            get.argtypes, get.restype = (), ctypes.c_int
+            put.argtypes, put.restype = (ctypes.c_int,), None
+            shutdown.argtypes, shutdown.restype = (), ctypes.c_int
+            return get, put, shutdown
+    return None
+
+
+_BLAS = _openblas_threads()
+# The thread count OpenBLAS was given, which it gets back after each split,
+# and the parts a large op splits into.
+_BLAS_THREADS = max(1, _BLAS[0]()) if _BLAS else 1
+_PARTS = _BLAS_THREADS
+
+
+# Bytes an op must read and write before it splits.  Measured on the 2-core
+# box: a split costs 70-200 us of wake-ups and interpreter-lock handoffs,
+# and the GEMM after it starts OpenBLAS's workers again.  From 4 MB, batch
+# norm, softmax rows, products and conv blocks run 1.3-2x faster in two
+# parts; from 0.5 to 2 MB most ran slower, and with a 1 MB cutoff the 64 px
+# training step, whose largest op stays under 4 MB, lost 15%.
+_SPLIT_BYTES = 4 << 20
+
+
+class _Helper:
+    """A daemon thread that runs one part of a split at a time."""
+
+    def __init__(self):
+        self.go, self.done = threading.Lock(), threading.Lock()
+        self.go.acquire()
+        self.done.acquire()
+        self.task = self.error = None
+        threading.Thread(target=self._loop, name="semidense-helper", daemon=True).start()
+
+    def _loop(self):
+        while True:
+            self.go.acquire()
+            fn, part = self.task
+            self.task = None
+            try:
+                fn(part)
+            except BaseException as exc:  # noqa: BLE001 - `_split` re-raises it in the caller
+                self.error = exc
+            del fn, part  # a waiting helper holds none of the caller's arrays
+            self.done.release()
+
+
+_helpers: list[_Helper] = []
+_helpers_busy = threading.Lock()  # held by the thread whose split runs on the helpers
+os.register_at_fork(after_in_child=_helpers.clear)  # a forked child has no helper threads
+
+
+def _split(n: int, nbytes: int, fn, grain: int = 1) -> None:
+    """Run `fn(part)` over slices `part` that cover range(n) in order.
+
+    The slices index an axis whose slices are independent, and each holds
+    at least `grain` items.  Below `_SPLIT_BYTES` (what the op reads and
+    writes), with one part, or while another thread's split holds the
+    helpers, `fn(slice(0, n))` runs once, inline.  Otherwise the range is
+    cut into up to `_PARTS` contiguous parts; the calling thread runs the
+    first and helper threads the others, and the call returns once all
+    have finished, raising the first part's exception, if any.  `fn`
+    writes into arrays its caller allocated: a large temporary made in a
+    helper comes from that thread's malloc arena, which hands it back to
+    the system once free, so each call would fault its pages in again.
+    """
+    parts = min(_PARTS, n // grain) if nbytes >= _SPLIT_BYTES else 1
+    if parts < 2 or not _helpers_busy.acquire(blocking=False):
+        fn(slice(0, n))
+        return
+    started = []
+    try:
+        if _BLAS is not None:  # OpenBLAS off the helpers' cores: one thread, its idle workers stopped
+            _BLAS[1](1)
+            _BLAS[2]()
+        while len(_helpers) < parts - 1:
+            _helpers.append(_Helper())
+        cuts = [n * k // parts for k in range(parts + 1)]
+        for helper, lo, hi in zip(_helpers, cuts[1:-1], cuts[2:]):
+            helper.task = (fn, slice(lo, hi))
+            helper.go.release()
+            started.append(helper)
+        fn(slice(0, cuts[1]))
+    finally:
+        errors = []
+        for helper in started:  # the parts write into shared arrays: wait for all
+            helper.done.acquire()
+            errors.append(helper.error)
+            helper.error = None
+        if _BLAS is not None:
+            _BLAS[1](_BLAS_THREADS)
+        _helpers_busy.release()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 @contextmanager
 def no_grad():
     """Disable tape recording inside the block (inference fast path)."""
@@ -95,13 +230,14 @@ def no_grad():
 def set_parallel(num_workers: int = 0) -> None:
     """Accept 0, the only mode there is; any other worker count is an error.
 
-    The name stays for existing importers.  conv2d no longer splits batches
-    over a thread pool: the BLAS library already uses every core.
+    The name stays for existing importers.  The thread count is not a
+    setting: large ops split over as many threads as OpenBLAS was given
+    (see the thread policy in the module docstring).
     """
     if num_workers != 0:
         raise ValueError(
-            f"set_parallel({num_workers!r}): conv2d no longer splits batches over threads "
-            "and OpenBLAS already uses every core; only 0 is accepted"
+            f"set_parallel({num_workers!r}): ops split over as many threads as "
+            "OPENBLAS_NUM_THREADS gives; only 0 is accepted"
         )
 
 
@@ -263,10 +399,23 @@ class Tensor:
         return transpose(self, axes if axes else None)
 
 
+# Largest finite value of each tensor dtype, as a Python float.
+_DTYPE_MAX = {np.dtype(t): float(np.finfo(t).max) for t in (np.float32, np.float64)}
+
+
 def _wrap(other, like: Tensor):
+    """`other` as a Tensor of `like`'s dtype; a finite scalar that the cast
+    would turn into inf, or from nonzero into zero, is a ValueError."""
     if isinstance(other, Tensor):
         return other
-    return Tensor(np.asarray(other, dtype=like.dtype))
+    if isinstance(other, (int, float, np.number)) and math.isfinite(other) and abs(float(other)) > _DTYPE_MAX[like.dtype]:
+        with np.errstate(over="ignore"):  # reported below, not warned about
+            arr = np.asarray(other, dtype=like.dtype)
+    else:
+        arr = np.asarray(other, dtype=like.dtype)
+    if arr.ndim == 0 and (not np.isfinite(arr) or arr == 0) and other != 0 and math.isfinite(other):
+        raise ValueError(f"scalar {other!r} does not fit {like.dtype}: it would become {arr.item()!r}")
+    return Tensor(arr)
 
 
 def _make(data, parents, backward_fn) -> Tensor:
@@ -391,6 +540,33 @@ def sub(a, b) -> Tensor:
     return _make(a.data - b.data, (na, nb), bw)
 
 
+def _rows(shape) -> tuple:
+    """`shape` from its first axis longer than one, (1,) if none is: an
+    elementwise op splits on the leading axis of this view."""
+    if shape and shape[0] > 1:
+        return shape
+    lead = next((i for i, d in enumerate(shape) if d > 1), len(shape))
+    return shape[lead:] or (1,)
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`x * y` into a new C-contiguous array, split as `_rows` says."""
+    xs, ys = x.shape, y.shape
+    shape = xs if xs == ys or not ys else ys if not xs else np.broadcast_shapes(xs, ys)
+    out = np.empty(shape, np.result_type(x, y))
+    rows = out if shape and shape[0] > 1 else out.reshape(_rows(shape))
+    n = len(rows)
+    # the leading axes `_rows` drops have length one in the operands too
+    if x.ndim > rows.ndim:
+        x = x.reshape(x.shape[x.ndim - rows.ndim :])
+    if y.ndim > rows.ndim:
+        y = y.reshape(y.shape[y.ndim - rows.ndim :])
+    # an operand without the leading axis, or with length one there, broadcasts whole
+    cut_x, cut_y = x.ndim == rows.ndim and len(x) == n, y.ndim == rows.ndim and len(y) == n
+    _split(n, 3 * out.nbytes, lambda s: np.multiply(x[s] if cut_x else x, y[s] if cut_y else y, out=rows[s]))
+    return out
+
+
 def mul(a, b) -> Tensor:
     if not isinstance(a, Tensor):
         a = _wrap(a, b)
@@ -402,11 +578,11 @@ def mul(a, b) -> Tensor:
 
     def bw(g):
         if na is not None:
-            _accum(na, g * bd)
+            _accum(na, _product(g, bd))
         if nb is not None:
-            _accum(nb, g * ad)
+            _accum(nb, _product(g, ad))
 
-    return _make(a.data * b.data, (na, nb), bw)
+    return _make(_product(a.data, b.data), (na, nb), bw)
 
 
 def div(a, b) -> Tensor:
@@ -497,10 +673,23 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    out_data, na = np.maximum(a.data, 0), a._node
+    ad, na = a.data, a._node
+    out_data = np.empty_like(ad)  # in the input's memory order, as numpy's own output
+    rows = out_data.reshape(_rows(ad.shape))
+    x = ad.reshape(rows.shape)
+    _split(len(rows), 2 * rows.nbytes, lambda s: np.maximum(x[s], 0, out=rows[s]))
 
     def bw(g):
-        _accum(na, g * (out_data > 0))
+        # the mask is allocated here, not in a part: see `_split` on temporaries
+        gx, mask = np.empty(rows.shape, np.result_type(g, np.bool_)), np.empty(rows.shape, np.bool_)
+        gr = g.reshape(rows.shape)
+
+        def part(s):
+            np.greater(rows[s], 0, out=mask[s])
+            np.multiply(gr[s], mask[s], out=gx[s])
+
+        _split(len(gx), 3 * gx.nbytes, part)
+        _accum(na, gx.reshape(out_data.shape))
 
     return _make(out_data, (na,), bw)
 
@@ -616,6 +805,32 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`np.matmul(x, y)`, split over the first batch axis longer than one.
+
+    numpy multiplies the matrices of the batch axes one BLAS call each, so
+    a split leaves every call as it was.  A single matrix does not split:
+    OpenBLAS picks its kernel by the matrix size, and the kernels round
+    differently, so rows or columns multiplied apart may differ in the last
+    bit from the same rows or columns of the whole product.  It runs as one
+    call, on OpenBLAS's own threads.
+    """
+    lead = x.shape[:-2] if x.shape[:-2] == y.shape[:-2] else np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+    k = next((i for i, d in enumerate(lead) if d > 1), None)
+    if k is None or x.ndim < 2 or y.ndim < 2:
+        return np.matmul(x, y)
+    out = np.empty(lead + (x.shape[-2], y.shape[-1]), np.result_type(x, y))
+    n, ax = lead[k], k - out.ndim
+
+    def take(a, s):  # an operand without the axis, or of length one there, broadcasts whole
+        i = a.ndim + ax
+        return a[(slice(None),) * i + (s,)] if i >= 0 and a.shape[i] == n else a
+
+    _split(n, x.nbytes + y.nbytes + out.nbytes,
+           lambda s: np.matmul(take(x, s), take(y, s), out=out[(slice(None),) * k + (s,)]))
+    return out
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product with numpy broadcasting on leading dims."""
     na, nb = a._node, b._node
@@ -625,11 +840,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if na is not None:
-            _accum(na, np.matmul(g, np.swapaxes(bd, -1, -2)))
+            _accum(na, _matmul(g, np.swapaxes(bd, -1, -2)))
         if nb is not None:
-            _accum(nb, np.matmul(np.swapaxes(ad, -1, -2), g))
+            _accum(nb, _matmul(np.swapaxes(ad, -1, -2), g))
 
-    return _make(np.matmul(a.data, b.data), (na, nb), bw)
+    return _make(_matmul(a.data, b.data), (na, nb), bw)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -639,7 +854,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             f"linear: input last dim {x.data.shape[-1]} != weight in dim {weight.data.shape[1]}"
         )
     wd = weight.data
-    out_data = np.matmul(x.data, wd.T)
+    out_data = _matmul(x.data, wd.T)
     if bias is not None:
         out_data = out_data + bias.data
     nx, nw, nb = x._node, weight._node, None if bias is None else bias._node
@@ -647,7 +862,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     def bw(g):
         if nx is not None:
-            _accum(nx, np.matmul(g, wd))
+            _accum(nx, _matmul(g, wd))
         if nw is not None:
             g2 = g.reshape(-1, g.shape[-1])
             _accum(nw, g2.T @ xd.reshape(-1, xd.shape[-1]))
@@ -679,7 +894,13 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     sums, and one divide follows.  Those sums add block by block, so they
     may differ from one whole-axis sum in the last bits.  An array that
     fits in one block takes the whole-array passes in either case.
-    Backward fills one full-size buffer in place.
+    Backward fills one full-size buffer in place.  The last axis splits
+    (`_split`) on rows; another axis splits each sweep on blocks, which
+    keep their own maxima and sums until the sums add up in block order.
+    The block step comes from the whole array, so the blocks and that order
+    are the same in any part.  (Splitting the trailing columns instead
+    measured no faster: 4096x4096 float32 on the 2-core box, 65 ms in one
+    part and 68 in two.)  Backward splits on `pre`.
     """
     data = x.data
     ax = range(data.ndim)[axis]  # a negative axis counts from the end; out of range raises
@@ -697,36 +918,59 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     if post == 1:
         rows, out_rows = x3[:, :, 0], o3[:, :, 0]
         step = max(1, _SOFTMAX_BLOCK_BYTES // max(1, n * data.itemsize))
-        for r in range(0, pre, step):
-            xb, ob = rows[r : r + step], out_rows[r : r + step]
-            top = xb.max(axis=1, keepdims=True)
-            check(top, xb)
-            np.subtract(xb, top, out=ob)
-            np.exp(ob, out=ob)
-            ob /= ob.sum(axis=1, keepdims=True)
+
+        def part(s):
+            for r in range(s.start, s.stop, step):
+                xb, ob = rows[r : min(r + step, s.stop)], out_rows[r : min(r + step, s.stop)]
+                top = xb.max(axis=1, keepdims=True)
+                check(top, xb)
+                np.subtract(xb, top, out=ob)
+                np.exp(ob, out=ob)
+                ob /= ob.sum(axis=1, keepdims=True)
+
+        _split(pre, 2 * data.nbytes, part, grain=2)
     else:
         step = max(1, _SOFTMAX_BLOCK_BYTES // max(1, pre * post * data.itemsize))
         # an empty axis still gets one block, so that its max raises as numpy's does
         blocks = [slice(a, a + step) for a in range(0, n or 1, step)]
-        top = total = None
-        for b in blocks:
-            bt = x3[:, b].max(axis=1, keepdims=True)
-            check(bt, x3[:, b])
-            top = bt if top is None else np.maximum(top, bt, out=top)
-        for b in blocks:
-            ob = o3[:, b]
-            np.subtract(x3[:, b], top, out=ob)
-            np.exp(ob, out=ob)
-            bs = ob.sum(axis=1, keepdims=True)
-            total = bs if total is None else np.add(total, bs, out=total)
-        o3 /= total
+
+        # each block keeps its own max and sum, so any part can run it; the
+        # sums then add up in block order, as one sweep adds them
+        tops = np.empty((len(blocks), pre, 1, post), data.dtype)
+        sums = np.empty_like(tops)
+
+        def maxima(s):
+            for i in range(s.start, s.stop):
+                x3[:, blocks[i]].max(axis=1, keepdims=True, out=tops[i])
+                check(tops[i], x3[:, blocks[i]])
+
+        def exponentials(s):
+            for i in range(s.start, s.stop):
+                ob = o3[:, blocks[i]]
+                np.subtract(x3[:, blocks[i]], top, out=ob)
+                np.exp(ob, out=ob)
+                ob.sum(axis=1, keepdims=True, out=sums[i])
+
+        _split(len(blocks), data.nbytes, maxima)
+        top = tops.max(axis=0)  # a max is exact in any order
+        _split(len(blocks), 2 * data.nbytes, exponentials)
+        total = sums[0].copy()
+        for i in range(1, len(blocks)):
+            np.add(total, sums[i], out=total)
+        _split(n, 2 * data.nbytes, lambda s: np.divide(o3[:, s], total, out=o3[:, s]))
     nx = x._node
 
     def bw(g):
-        gx = np.multiply(g, out_data)
-        dot = gx.sum(axis=axis, keepdims=True)
-        np.subtract(g, dot, out=gx)
-        gx *= out_data
+        gx = np.empty(out_data.shape, np.result_type(g, out_data))
+        g3, gx3 = g.reshape(pre, n, post), gx.reshape(pre, n, post)
+
+        def grad(s):
+            gs, ys, gxs = g3[s], o3[s], gx3[s]
+            np.multiply(gs, ys, out=gxs)
+            np.subtract(gs, gxs.sum(axis=1, keepdims=True), out=gxs)
+            gxs *= ys
+
+        _split(pre, 3 * gx.nbytes, grad, grain=2)
         _accum(nx, gx)
 
     return _make(out_data, (nx,), bw)
@@ -816,14 +1060,19 @@ def conv2d(
     images, into one buffer of at most `_CONV_BLOCK_BYTES` (at least one
     row).  The whole patch matrix is kh*kw times the input: at 512 px it
     would be up to 151 MB, streamed through memory twice per call; a block
-    stays in cache between its fill and its GEMMs.  Forward runs one GEMM per
-    image on its columns of the block, into the NCHW output.  Backward copies
-    each block's output gradient once into (G, Og, N*rows*OW), re-extracts
-    the patches for one weight-gradient GEMM that sums the images itself (a
-    product per image would be weight-sized, larger than a deep stage's
-    activations), then writes one patch-gradient GEMM over the patches and
-    scatters it into the input gradient (col2im).  The buffer lives for one
-    call; the tape keeps only the input, neither its padded copy nor patches.
+    stays in cache between its fill and its GEMMs.  Forward splits each
+    block per image (`_split`): a part fills its images' columns of the
+    block and runs one GEMM per image into the NCHW output, so the buffer is
+    shared, not one per thread.  Backward copies each block's output
+    gradient once into (G, Og, N*rows*OW) and re-extracts the patches,
+    split per image; runs one weight-gradient GEMM that sums the images
+    itself (a product per image would be weight-sized, larger than a deep
+    stage's activations) and one patch-gradient GEMM over the block's
+    columns, each a single BLAS call on OpenBLAS's own threads, as
+    `_matmul` says; then scatters the patch gradient into the input
+    gradient (col2im), split per image.  No split changes the order of any
+    element's sum.  The buffers live for one call; the tape keeps only the
+    input, neither its padded copy nor patches.
     """
     _conv_shape_check(x.data, weight.data, stride, padding, groups)
     n, c, h, wd = x.data.shape
@@ -833,7 +1082,7 @@ def conv2d(
     w2 = weight.data.reshape(groups, o // groups, -1)
     rows = min(oh, max(1, _CONV_BLOCK_BYTES // (n * c * kh * kw * ow * x.data.itemsize)))
     blocks = [(r0, min(r0 + rows, oh)) for r0 in range(0, oh, rows)]
-    pshape = (n, c, h + 2 * padding, wd + 2 * padding)
+    pshape, itemsize = (n, c, h + 2 * padding, wd + 2 * padding), x.data.itemsize
     inner = np.s_[..., padding : padding + h, padding : padding + wd]  # the input inside its zero border
 
     def padded(xd):
@@ -849,14 +1098,29 @@ def conv2d(
         cols = buf[: c * kh * kw * n * (r1 - r0) * ow].reshape(c, kh, kw, n, r1 - r0, ow)
         return cols, cols.reshape(groups, -1, n * (r1 - r0) * ow)
 
+    def block_bytes(r0, r1):
+        """What a block's parts read and write: patches, output rows and weights."""
+        return (c * kh * kw + o) * n * (r1 - r0) * ow * itemsize + w2.nbytes
+
     out_data = np.empty((n, o, oh, ow), dtype=np.result_type(x.data, weight.data))
     out4 = out_data.reshape(n, groups, o // groups, oh * ow)  # a block's columns are a view
     xp, buf = padded(x.data), np.empty(c * kh * kw * n * rows * ow, dtype=x.data.dtype)
-    for r0, r1 in blocks:
-        cols, mat = block(buf, r0, r1)
-        _im2col(xp, cols, stride, r0)
-        for k, image_cols in enumerate(np.split(mat, n, axis=2)):
-            np.matmul(w2, image_cols, out=out4[k, ..., r0 * ow : r1 * ow])
+
+    def forward(spans, s):
+        """Images `s` through the blocks `spans`, one block after another."""
+        for r0, r1 in spans:
+            cols, mat = block(buf, r0, r1)
+            span = (r1 - r0) * ow
+            _im2col(xp[s], cols[:, :, :, s], stride, r0)
+            for k in range(s.start, s.stop):
+                np.matmul(w2, mat[..., k * span : (k + 1) * span], out=out4[k, ..., r0 * ow : r1 * ow])
+
+    # Blocks of one shape put each image's columns at the same place in the
+    # buffer, so the parts may run through all full blocks without waiting
+    # for each other; a shorter last block puts them elsewhere and waits.
+    for spans in (blocks[:-1], blocks[-1:]) if blocks[-1][1] - blocks[-1][0] < rows else (blocks,):
+        if spans:
+            _split(n, block_bytes(*spans[0]), partial(forward, spans))
     nx, nw = x._node, weight._node
     xd = x.data if nw is not None else None  # read by the weight gradient only
     dtype = x.data.dtype
@@ -865,17 +1129,31 @@ def conv2d(
         gy = g.reshape(n, groups, o // groups, oh * ow)
         xp = padded(xd) if nw is not None else None
         gxp = np.zeros(pshape, dtype=dtype) if nx is not None else None
-        buf, gw = np.empty(c * kh * kw * n * rows * ow, dtype=dtype), None
-        for r0, r1 in blocks:
-            gyb = gy[..., r0 * ow : r1 * ow].transpose(1, 2, 0, 3).reshape(groups, o // groups, -1)
-            cols, mat = block(buf, r0, r1)
+        buf, gybuf = np.empty(c * kh * kw * n * rows * ow, dtype=dtype), np.empty(o * n * rows * ow, dtype=g.dtype)
+        gw = None
+
+        def gy_block(r0, r1):
+            return gybuf[: o * n * (r1 - r0) * ow].reshape(groups, o // groups, n, (r1 - r0) * ow)
+
+        def images(r0, r1, s):
+            """Output gradient and, for the weight gradient, patches of images `s`."""
+            gy_block(r0, r1)[:, :, s] = gy[s, ..., r0 * ow : r1 * ow].transpose(1, 2, 0, 3)
             if xp is not None:
-                _im2col(xp, cols, stride, r0)
+                _im2col(xp[s], block(buf, r0, r1)[0][:, :, :, s], stride, r0)
+
+        def scatter(r0, r1, s):
+            _col2im(gxp[s], block(buf, r0, r1)[0][:, :, :, s], stride, r0)
+
+        for r0, r1 in blocks:
+            nbytes, (_, mat) = block_bytes(r0, r1), block(buf, r0, r1)
+            _split(n, nbytes, partial(images, r0, r1))
+            gyb = gy_block(r0, r1).reshape(groups, o // groups, -1)
+            if xp is not None:
                 part = np.matmul(gyb, mat.transpose(0, 2, 1))
                 gw = part if gw is None else np.add(gw, part, out=gw)
             if gxp is not None:
                 np.matmul(w2.transpose(0, 2, 1), gyb, out=mat)  # the patch gradient overwrites the patches
-                _col2im(gxp, cols, stride, r0)
+                _split(n, nbytes, partial(scatter, r0, r1))
         if gw is not None:
             _accum(nw, gw.reshape(nw.shape))
         if gxp is not None:
@@ -902,53 +1180,76 @@ def batchnorm2d(
     per-channel mean and inverse std; backward recomputes x_hat from x.
     """
     n, c, h, w = x.data.shape
-    if running_mean.shape != (c,) or gamma.data.shape != (c,):
-        raise ValueError(f"batchnorm2d: statistic vectors must have {c} channels")
+    for name, v in (("running_mean", running_mean), ("running_var", running_var), ("gamma", gamma.data), ("beta", beta.data)):
+        if v.shape != (c,):
+            raise ValueError(f"batchnorm2d: {name} has shape {v.shape}, but the input has {c} channels")
     axes, cnt = (0, 2, 3), n * h * w
-    dtype = np.result_type(x.data, gamma.data, beta.data)
+    xd, gd, bd = x.data, gamma.data, beta.data
+    dtype = np.result_type(xd, gd, bd)
 
     def per_channel(v):
         return v[None, :, None, None]
 
+    out_data = np.empty(xd.shape, dtype)
     if training:
-        mean = x.data.mean(axis=axes)
-        out_data = np.subtract(x.data, per_channel(mean), dtype=dtype)  # the centred copy becomes the output
-        var = np.square(out_data).mean(axis=axes)  # biased
-        inv_std = 1.0 / np.sqrt(var + eps)
-        # gamma is not folded into inv_std, so the output rounds as x_hat * gamma + beta
-        out_data *= per_channel(inv_std)
-        out_data *= per_channel(gamma.data)
-        out_data += per_channel(beta.data)
+        mean, var, inv_std = np.empty(c, xd.dtype), np.empty(c, dtype), np.empty(c, dtype)
+        squares = np.empty(xd.shape, dtype)
+    else:
+        mean = running_mean.astype(xd.dtype)
+        inv_std = 1.0 / np.sqrt(running_var.astype(xd.dtype) + eps)
+        scale = inv_std * gd
+        shift = bd - mean * scale
+
+    def normalize(s):
+        xs, out = xd[:, s], out_data[:, s]
+        if training:
+            mean[s] = xs.mean(axis=axes)
+            np.subtract(xs, per_channel(mean[s]), out=out, dtype=dtype)  # the centred copy becomes the output
+            var[s] = np.square(out, out=squares[:, s]).mean(axis=axes)  # biased
+            inv_std[s] = 1.0 / np.sqrt(var[s] + eps)
+            # gamma is not folded into inv_std, so the output rounds as x_hat * gamma + beta
+            out *= per_channel(inv_std[s])
+            out *= per_channel(gd[s])
+            out += per_channel(bd[s])
+        else:  # gamma and beta fold into one scale and shift
+            np.multiply(xs, per_channel(scale[s]), out=out, dtype=dtype)
+            out += per_channel(shift[s])
+
+    _split(c, xd.nbytes + out_data.nbytes, normalize, grain=2)
+    if training:
         unbiased = var * cnt / max(cnt - 1, 1)
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean.astype(running_mean.dtype)
         running_var *= 1.0 - momentum
         running_var += momentum * unbiased.astype(running_var.dtype)
-    else:
-        mean = running_mean.astype(x.dtype)
-        inv_std = 1.0 / np.sqrt(running_var.astype(x.dtype) + eps)
-        scale = inv_std * gamma.data
-        out_data = np.multiply(x.data, per_channel(scale), dtype=dtype)
-        out_data += per_channel(beta.data - mean * scale)
     nx, ngamma, nbeta = x._node, gamma._node, beta._node
-    xd, gd = x.data, gamma.data
 
     def bw(g):
         # recompute x_hat from x into the buffer that becomes the input gradient
-        buf = xd - per_channel(mean)
-        buf *= per_channel(inv_std)
-        g_sum = g.sum(axis=axes)
-        g_xhat = (g * buf).sum(axis=axes)
+        buf = np.empty(xd.shape, np.result_type(xd, mean))
+        g_sum, g_xhat = np.empty(c, g.dtype), np.empty(c, np.result_type(g, buf))
+        products = np.empty(xd.shape, g_xhat.dtype)
+
+        def channels(s):
+            gs, bs = g[:, s], buf[:, s]
+            np.subtract(xd[:, s], per_channel(mean[s]), out=bs)
+            bs *= per_channel(inv_std[s])
+            g_sum[s] = gs.sum(axis=axes)
+            g_xhat[s] = np.multiply(gs, bs, out=products[:, s]).sum(axis=axes)
+            if nx is None:
+                return
+            if training:
+                bs *= per_channel(-g_xhat[s] / cnt)
+                bs += gs
+                bs -= per_channel(g_sum[s] / cnt)
+                bs *= per_channel(gd[s] * inv_std[s])
+            else:
+                np.multiply(gs, per_channel(gd[s] * inv_std[s]), out=bs)
+
+        _split(c, xd.nbytes + 2 * buf.nbytes, channels, grain=2)
         _accum(ngamma, g_xhat)
         _accum(nbeta, g_sum)
         if nx is not None:
-            if training:
-                buf *= per_channel(-g_xhat / cnt)
-                buf += g
-                buf -= per_channel(g_sum / cnt)
-                buf *= per_channel(gd * inv_std)
-            else:
-                np.multiply(g, per_channel(gd * inv_std), out=buf)
             _accum(nx, buf)
 
     return _make(out_data, (nx, ngamma, nbeta), bw)
@@ -982,6 +1283,6 @@ def bilinear_upsample2x(x: Tensor) -> Tensor:
     nx = x._node
 
     def bw(g):
-        _accum(nx, uh.T @ g @ uw)
+        _accum(nx, _matmul(_matmul(uh.T, g), uw))
 
-    return _make(uh @ x.data @ uw.T, (nx,), bw)
+    return _make(_matmul(_matmul(uh, x.data), uw.T), (nx,), bw)

@@ -63,6 +63,18 @@ def test_shape_mismatch_named_and_nothing_written():
         np.testing.assert_array_equal(value, before[name], err_msg=name)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_value_named_and_nothing_written(bad):
+    net = Net(0)
+    before = copied_state(net)
+    state = {k: v + 1 for k, v in before.items()}
+    state["bn.running_var"][1] = bad
+    with pytest.raises(ValueError, match=r"non-finite values under keys \['bn.running_var'\]"):
+        net.load_state_dict(state)
+    for name, value in net.state_dict().items():
+        np.testing.assert_array_equal(value, before[name], err_msg=name)
+
+
 def test_load_does_not_alias_caller_arrays():
     net = Net(0)
     state = copied_state(Net(1))

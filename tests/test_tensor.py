@@ -2,11 +2,18 @@
 and tape gradients against the finite-difference oracle in helpers."""
 
 import ctypes
+import os
+import re
 import resource
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import types
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,6 +323,17 @@ class TestBatchNorm:
             T.batchnorm2d(
                 Tensor(np.zeros((1, 3, 2, 2))), np.zeros(2), np.ones(2),
                 Tensor(np.ones(2)), Tensor(np.zeros(2)), training=False,
+            )
+
+    @pytest.mark.parametrize("wrong", ["running_mean", "running_var", "gamma", "beta"])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_each_statistic_vector_checked_and_named(self, wrong, training):
+        vectors = {"running_mean": np.zeros(3), "running_var": np.ones(3), "gamma": np.ones(3), "beta": np.zeros(3)}
+        vectors[wrong] = vectors[wrong][:1]  # shape (1,) would broadcast silently
+        with pytest.raises(ValueError, match=f"{wrong} has shape \\(1,\\), but the input has 3 channels"):
+            T.batchnorm2d(
+                Tensor(np.zeros((1, 3, 2, 2))), vectors["running_mean"], vectors["running_var"],
+                Tensor(vectors["gamma"]), Tensor(vectors["beta"]), training=training,
             )
 
 
@@ -789,6 +807,36 @@ class TestGatherAndShape:
         np.testing.assert_allclose(y.data, a @ b, atol=1e-9)
 
 
+class TestScalarOperands:
+    """A Python scalar is cast to the tensor's dtype; one that the cast breaks is an error."""
+
+    @pytest.mark.parametrize(
+        "op,value,becomes",
+        [(T.div, 1e-50, "0.0"), (T.mul, 1e50, "inf"), (T.add, 1e50, "inf"), (T.sub, -1e50, "-inf")],
+        ids=["div-underflow", "mul-overflow", "add-overflow", "sub-overflow"],
+    )
+    def test_scalar_that_does_not_fit_float32_is_named(self, op, value, becomes):
+        x = Tensor(np.ones(2, np.float32))
+        with pytest.raises(ValueError, match=re.escape(f"scalar {value!r} does not fit float32: it would become {becomes}")):
+            op(x, value)
+
+    def test_reflected_operand_is_checked_too(self):
+        with pytest.raises(ValueError, match="does not fit float32"):
+            1e-50 / Tensor(np.ones(2, np.float32))
+
+    def test_float64_keeps_its_results(self):
+        x = Tensor(np.ones(2))
+        np.testing.assert_array_equal((x / 1e-50).data, np.full(2, 1e50))
+        np.testing.assert_array_equal((x * 1e50).data, np.full(2, 1e50))
+        np.testing.assert_array_equal((x + 1e50).data, np.full(2, 1e50))
+
+    def test_subnormal_and_non_finite_scalars_pass(self):
+        x = Tensor(np.ones(2, np.float32))
+        assert ((x * 1e-40).data > 0).all()  # subnormal in float32, but not zero
+        assert np.isinf((x * np.inf).data).all()
+        assert (x * 0.0).data.tolist() == [0.0, 0.0]
+
+
 class TestArithmeticWithArrays:
     @pytest.mark.parametrize("op", [T.mul, T.div])
     @pytest.mark.parametrize("xs,bs", [((3, 4), (4,)), ((4,), (3, 4)), ((2, 1, 4), (3, 1))])
@@ -980,5 +1028,222 @@ class TestDeterminismAndParallel:
         T.set_parallel(0)
         T.set_parallel()
         for n in (1, 2, -1):
-            with pytest.raises(ValueError, match="no longer splits batches"):
+            with pytest.raises(ValueError, match="OPENBLAS_NUM_THREADS"):
                 T.set_parallel(n)
+
+
+class TestThreadSplit:
+    """Ops that `_split` cuts into parts run on helper threads and give the
+    inline path's outputs and gradients bit for bit."""
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        """Count the `_split` calls that run in more than one part."""
+        count = [0]
+        real = T._split
+
+        def counting(n, nbytes, fn, grain=1):
+            count[0] += nbytes >= T._SPLIT_BYTES and min(T._PARTS, n // grain) >= 2
+            real(n, nbytes, fn, grain)
+
+        monkeypatch.setattr(T, "_split", counting)
+        return count
+
+    @staticmethod
+    def inline_and_split(monkeypatch, splits, parts, run):
+        """`run()` with one part, then in `parts` parts with the cutoff at zero."""
+        monkeypatch.setattr(T, "_PARTS", 1)
+        inline = run()
+        monkeypatch.setattr(T, "_PARTS", parts)
+        monkeypatch.setattr(T, "_SPLIT_BYTES", 0)
+        splits[0] = 0
+        split = run()
+        assert splits[0] > 0, "the case must take the split path"
+        assert len(inline) == len(split)
+        for a, b in zip(inline, split):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+
+    @staticmethod
+    def outputs_and_grads(op, arrays, seed=60):
+        """Output of `op` and the gradient of every input, for a fixed cotangent."""
+        ts = [Tensor(a, requires_grad=True) for a in arrays]
+        y = op(*ts)
+        r = np.random.default_rng(seed).standard_normal(y.shape).astype(y.dtype)
+        (y * Tensor(r)).sum().backward()
+        return [y.data] + [t.grad for t in ts]
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("stride,groups", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_conv2d(self, monkeypatch, splits, parts, batch, stride, groups):
+        rng = np.random.default_rng(61)
+        x = rng.standard_normal((batch, 4, 11, 7), dtype=np.float32)
+        w = rng.standard_normal((6, 4 // groups, 3, 3), dtype=np.float32)
+        oh, ow = (11 + 2 - 3) // stride + 1, (7 + 2 - 3) // stride + 1
+        rows = 2 if stride == 1 else 4  # several blocks, the last one partial
+        assert oh > rows and oh % rows
+        TestConv2d.rows_per_block(monkeypatch, x, 3, ow, rows)
+        op = lambda x, w: T.conv2d(x, w, stride=stride, padding=1, groups=groups)
+        self.inline_and_split(monkeypatch, splits, parts, lambda: self.outputs_and_grads(op, [x, w]))
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    @pytest.mark.parametrize(
+        "a,b", [((2, 1, 7, 4), (3, 4, 5)), ((1, 3, 7, 4), (3, 4, 5)), ((7, 4), (3, 4, 5))],
+        ids=["broadcast-batch", "leading-one", "matrix-times-batch"],
+    )
+    def test_broadcast_matmul(self, monkeypatch, splits, parts, a, b):
+        rng = np.random.default_rng(62)
+        arrays = [rng.standard_normal(a, dtype=np.float32), rng.standard_normal(b, dtype=np.float32)]
+        self.inline_and_split(monkeypatch, splits, parts, lambda: self.outputs_and_grads(T.matmul, arrays))
+
+    def test_single_matrix_is_one_blas_call(self, monkeypatch, splits):
+        """Rows of a product may round differently from the whole, so a single matrix never splits."""
+        monkeypatch.setattr(T, "_PARTS", 2)
+        monkeypatch.setattr(T, "_SPLIT_BYTES", 0)
+        rng = np.random.default_rng(68)
+        x, w = rng.standard_normal((9, 4), dtype=np.float32), rng.standard_normal((4, 8), dtype=np.float32)
+        assert np.array_equal(T.matmul(Tensor(x), Tensor(w)).data, np.matmul(x, w))
+        assert splits[0] == 0
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_linear_3d(self, monkeypatch, splits, parts):
+        rng = np.random.default_rng(63)
+        arrays = [rng.standard_normal(s, dtype=np.float32) for s in ((2, 7, 5), (6, 5), (6,))]
+        self.inline_and_split(monkeypatch, splits, parts, lambda: self.outputs_and_grads(T.linear, arrays))
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    @pytest.mark.parametrize("axis", [-1, 1])
+    @pytest.mark.parametrize("block", [None, 3], ids=["one-block", "blocks"])
+    def test_softmax(self, monkeypatch, splits, parts, axis, block):
+        x = 4.0 * np.random.default_rng(64).standard_normal((7, 5, 4), dtype=np.float32)
+        if block:  # three rows or three slices per block
+            monkeypatch.setattr(T, "_SOFTMAX_BLOCK_BYTES", block * (4 if axis == -1 else 4 * 7) * x.itemsize)
+        op = lambda x: T.softmax(x, axis=axis)
+        self.inline_and_split(monkeypatch, splits, parts, lambda: self.outputs_and_grads(op, [x]))
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batchnorm2d(self, monkeypatch, splits, parts, training):
+        rng = np.random.default_rng(65)
+        x = rng.standard_normal((3, 7, 4, 5), dtype=np.float32)
+        gamma, beta = rng.uniform(0.5, 1.5, 7).astype(np.float32), rng.standard_normal(7, dtype=np.float32)
+
+        def run():
+            rm, rv = np.full(7, 0.1, np.float32), np.full(7, 2.0, np.float32)
+            op = lambda x, g, b: T.batchnorm2d(x, rm, rv, g, b, training=training)
+            return self.outputs_and_grads(op, [x, gamma, beta]) + [rm, rv]
+
+        self.inline_and_split(monkeypatch, splits, parts, run)
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    @pytest.mark.parametrize("shape", [(7, 3, 4), (1, 1, 9, 5), ()])
+    def test_relu(self, monkeypatch, splits, parts, shape):
+        x = np.random.default_rng(66).standard_normal(shape).astype(np.float32)
+        if shape:
+            x.flat[::3] = 0.0  # the gradient at zero
+            self.inline_and_split(monkeypatch, splits, parts, lambda: self.outputs_and_grads(T.relu, [x]))
+        else:  # one element: one part, the same code
+            monkeypatch.setattr(T, "_PARTS", parts)
+            monkeypatch.setattr(T, "_SPLIT_BYTES", 0)
+            np.testing.assert_array_equal(T.relu(Tensor(x)).data, np.maximum(x, 0))
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    @pytest.mark.parametrize("a,b", [((7, 3, 4), (7, 3, 4)), ((7, 1, 4), (3, 1)), ((1, 9, 5), (5,)), ((4,), ())])
+    def test_mul(self, monkeypatch, splits, parts, a, b):
+        rng = np.random.default_rng(67)
+        arrays = [rng.standard_normal(a).astype(np.float32), rng.standard_normal(b).astype(np.float32)]
+        self.inline_and_split(monkeypatch, splits, parts, lambda: self.outputs_and_grads(T.mul, arrays))
+
+    @pytest.mark.parametrize("axis", [-1, 0])
+    def test_non_finite_in_the_second_part_raises_and_helpers_go_on(self, monkeypatch, axis):
+        monkeypatch.setattr(T, "_PARTS", 2)
+        monkeypatch.setattr(T, "_SPLIT_BYTES", 0)
+        monkeypatch.setattr(T, "_SOFTMAX_BLOCK_BYTES", 1)  # a row or a slice per block
+        x = np.arange(60, dtype=np.float32).reshape(6, 10) / 60
+        bad = x.copy()
+        bad[4, 7] = np.nan  # row or slice 4 of 6, in the helper's part
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            T.softmax(Tensor(bad), axis=axis)
+        y = T.softmax(Tensor(x), axis=-1).data
+        monkeypatch.setattr(T, "_PARTS", 1)
+        assert np.array_equal(y, T.softmax(Tensor(x), axis=-1).data)
+
+    def test_concurrent_callers_with_more_parts_than_cores(self, monkeypatch):
+        """Two threads split at once, in four parts each, with the interpreter
+        switching threads as often as it can: the one that finds the helpers
+        busy runs inline, and every result is the inline one."""
+        rng = np.random.default_rng(69)
+        xs = [rng.standard_normal((8, 33), dtype=np.float32) for _ in range(2)]
+        refs = [T.softmax(Tensor(x)).data for x in xs]
+        monkeypatch.setattr(T, "_PARTS", 4)
+        monkeypatch.setattr(T, "_SPLIT_BYTES", 0)
+        wrong = []
+
+        def run(k):
+            for _ in range(200):
+                if not np.array_equal(T.softmax(Tensor(xs[k])).data, refs[k]):
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    @staticmethod
+    def python(code, **env):
+        src = str(Path(T.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""), **env}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    def test_one_blas_thread_starts_no_helper(self):
+        out = self.python(
+            "import threading, numpy as np\n"
+            "from semidense import tensor as T\n"
+            "T.softmax(T.Tensor(np.ones((1024, 1024), np.float32)))\n"  # 8 MB: above the cutoff
+            "print(T._PARTS, threading.active_count())\n",
+            OPENBLAS_NUM_THREADS="1",
+        )
+        assert out == ["1", "1"]
+
+    @pytest.mark.skipif(T._BLAS is None, reason="numpy bundles no OpenBLAS")
+    def test_parts_follow_the_blas_thread_count_and_import_starts_no_thread(self):
+        out = self.python(
+            "from semidense import tensor as T\n"
+            "import threading\n"
+            "print(T._PARTS, T._BLAS[0](), threading.active_count())\n",
+            OPENBLAS_NUM_THREADS="2",
+        )
+        count = str(min(2, len(os.sched_getaffinity(0))))  # OpenBLAS takes no more threads than CPUs
+        assert out == [count, count, "1"]
+
+    @pytest.mark.skipif(T._BLAS is None, reason="numpy bundles no OpenBLAS")
+    def test_blas_runs_one_thread_while_a_split_runs(self, monkeypatch):
+        monkeypatch.setattr(T, "_PARTS", 2)
+        monkeypatch.setattr(T, "_SPLIT_BYTES", 0)
+        seen = []
+        T._split(2, 0, lambda s: seen.append(T._BLAS[0]()))
+        assert seen == [1, 1]
+        assert T._BLAS[0]() == T._BLAS_THREADS
+
+    def test_process_with_helpers_exits_promptly(self):
+        start = time.perf_counter()
+        out = self.python(
+            "import threading, numpy as np\n"
+            "from semidense import tensor as T\n"
+            "T._PARTS, T._SPLIT_BYTES = 2, 0\n"
+            "T.relu(T.Tensor(np.ones((4, 4), np.float32)))\n"
+            "print(threading.active_count())\n",
+        )
+        assert out == ["2"]  # the caller and one helper
+        assert time.perf_counter() - start < 30
