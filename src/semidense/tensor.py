@@ -49,27 +49,30 @@ shrink after a peak; the peak itself does not grow.  Where libc has no
 `mallopt`, the policy is a no-op.
 
 Thread policy (process-wide, set once at import): an op too large for
-one core splits into as many parts as the thread count OpenBLAS was given
-(`OPENBLAS_NUM_THREADS`, or OpenBLAS's default of one per core).  The
-calling thread runs the first part and count - 1 helper threads, started
-on the first split, run the others (`_split`).  BLAS threads only matrix
-products; a split also reaches the copies, elementwise passes, reductions
-and softmax that make up most of a step.  While a split runs, OpenBLAS is
-at one thread and its worker threads are stopped: after each threaded
-GEMM they spin for about 0.1 s on the other cores, where the helpers would
-wait for them, and OpenBLAS starts them again on its next threaded GEMM.
-Outside splits OpenBLAS keeps its count, so a single matrix product (which
-cannot split, see `_matmul`) and every op below `_SPLIT_BYTES` run exactly as
-without the policy.  An op splits on an axis whose slices are independent,
-and every output element then sees the same numpy calls on the same values
-in the same order as with one part, so the results do not depend on the
-count; the tests check this bit for bit.  The ops that split: conv2d per
-image (see `conv2d`), matmul and linear over batch axes (`_matmul`), softmax
+one core splits into parts of at least `_PART_BYTES`, at most as many as
+the thread count OpenBLAS was given (`OPENBLAS_NUM_THREADS`, or OpenBLAS's
+default of one per core).  The calling thread runs the first part and
+count - 1 helper threads, started on the first split, run the others
+(`_split`).  BLAS threads only matrix products; a split also reaches the
+copies, elementwise passes, reductions and softmax that make up most of a
+step.  While a split runs, OpenBLAS is at one thread and its worker
+threads are stopped: after each threaded GEMM they spin for about 0.1 s on
+the other cores, where the helpers would wait for them, and OpenBLAS
+starts them again on its next threaded GEMM.  Outside splits OpenBLAS
+keeps its count, so a single matrix product (which cannot split, see
+`_matmul`) and every op too small to split run exactly as without the
+policy.  An op splits on an axis whose slices are independent, and every
+output element then sees the same numpy calls on the same values in the
+same order as with one part, so the results do not depend on the count;
+the tests check this bit for bit.  The ops that split: conv2d per image
+(see `conv2d`), matmul and linear over batch axes (`_matmul`), softmax
 over rows or blocks (see `softmax`), batchnorm2d over channels, relu and
-mul over the leading axis.  With a count of one, without OpenBLAS, or while
-another thread's split holds the helpers, every op runs inline in the
-calling thread.  OpenBLAS is process-wide: the policy assumes that no other
-thread runs BLAS while an engine op splits.
+mul over the leading axis.  With a count of one or without OpenBLAS no op
+splits.  OpenBLAS's thread count and workers are process-wide, and a split
+changes them under any other thread: engine ops must not run beside other
+BLAS work, engine ops in another thread included.  (Two threads may call
+ops that use no BLAS at once: the one that finds the helpers busy runs its
+op inline.)
 """
 
 from __future__ import annotations
@@ -127,19 +130,19 @@ def _openblas_threads():
 
 
 _BLAS = _openblas_threads()
-# The thread count OpenBLAS was given, which it gets back after each split,
-# and the parts a large op splits into.
-_BLAS_THREADS = max(1, _BLAS[0]()) if _BLAS else 1
-_PARTS = _BLAS_THREADS
+# The most parts an op splits into: the thread count OpenBLAS was given.
+_PARTS = max(1, _BLAS[0]()) if _BLAS else 1
 
 
-# Bytes an op must read and write before it splits.  Measured on the 2-core
-# box: a split costs 70-200 us of wake-ups and interpreter-lock handoffs,
-# and the GEMM after it starts OpenBLAS's workers again.  From 4 MB, batch
-# norm, softmax rows, products and conv blocks run 1.3-2x faster in two
-# parts; from 0.5 to 2 MB most ran slower, and with a 1 MB cutoff the 64 px
-# training step, whose largest op stays under 4 MB, lost 15%.
-_SPLIT_BYTES = 4 << 20
+# Bytes each part of a split must read and write, so an op splits only from
+# twice this.  Measured on the 2-core box: a split costs 70-200 us of
+# wake-ups and interpreter-lock handoffs, and the GEMM after it starts
+# OpenBLAS's workers again.  Ops of 4 MB and more, in parts of 2 MB and
+# more, ran 1.3-2x faster in two parts (batch norm, softmax rows, products,
+# conv blocks); in parts of 0.25-1 MB most ran slower, and with 0.5 MB
+# parts the 64 px training step, whose largest op stays under 4 MB, lost
+# 15%.  More than two parts were never measured at this size.
+_PART_BYTES = 2 << 20
 
 
 class _Helper:
@@ -170,27 +173,35 @@ _helpers_busy = threading.Lock()  # held by the thread whose split runs on the h
 os.register_at_fork(after_in_child=_helpers.clear)  # a forked child has no helper threads
 
 
+def _may_split(nbytes: int) -> bool:
+    """False when `_split` would run an op of `nbytes` in one part, so that
+    a small op may skip the set-up of its parts."""
+    return _PARTS > 1 and nbytes >= 2 * _PART_BYTES
+
+
 def _split(n: int, nbytes: int, fn, grain: int = 1) -> None:
     """Run `fn(part)` over slices `part` that cover range(n) in order.
 
     The slices index an axis whose slices are independent, and each holds
-    at least `grain` items.  Below `_SPLIT_BYTES` (what the op reads and
-    writes), with one part, or while another thread's split holds the
-    helpers, `fn(slice(0, n))` runs once, inline.  Otherwise the range is
-    cut into up to `_PARTS` contiguous parts; the calling thread runs the
+    at least `grain` items.  The parts are at most `_PARTS`, and each
+    covers at least `_PART_BYTES` of the `nbytes` the op reads and writes.
+    With one part, or while another thread's split holds the helpers,
+    `fn(slice(0, n))` runs once, inline.  Otherwise the range is cut into
+    that many contiguous parts of equal length; the calling thread runs the
     first and helper threads the others, and the call returns once all
     have finished, raising the first part's exception, if any.  `fn`
     writes into arrays its caller allocated: a large temporary made in a
     helper comes from that thread's malloc arena, which hands it back to
     the system once free, so each call would fault its pages in again.
     """
-    parts = min(_PARTS, n // grain) if nbytes >= _SPLIT_BYTES else 1
+    parts = min(_PARTS, n // grain, nbytes // _PART_BYTES)
     if parts < 2 or not _helpers_busy.acquire(blocking=False):
         fn(slice(0, n))
         return
-    started = []
+    started, threads = [], None
     try:
         if _BLAS is not None:  # OpenBLAS off the helpers' cores: one thread, its idle workers stopped
+            threads = _BLAS[0]()
             _BLAS[1](1)
             _BLAS[2]()
         while len(_helpers) < parts - 1:
@@ -207,8 +218,8 @@ def _split(n: int, nbytes: int, fn, grain: int = 1) -> None:
             helper.done.acquire()
             errors.append(helper.error)
             helper.error = None
-        if _BLAS is not None:
-            _BLAS[1](_BLAS_THREADS)
+        if threads is not None:
+            _BLAS[1](threads)
         _helpers_busy.release()
     for exc in errors:
         if exc is not None:
@@ -232,7 +243,9 @@ def set_parallel(num_workers: int = 0) -> None:
 
     The name stays for existing importers.  The thread count is not a
     setting: large ops split over as many threads as OpenBLAS was given
-    (see the thread policy in the module docstring).
+    (see the thread policy in the module docstring).  A split changes
+    OpenBLAS's process-wide thread count, so engine ops must not run
+    beside other BLAS work, engine ops in another thread included.
     """
     if num_workers != 0:
         raise ValueError(
@@ -541,20 +554,23 @@ def sub(a, b) -> Tensor:
 
 
 def _rows(shape) -> tuple:
-    """`shape` from its first axis longer than one, (1,) if none is: an
+    """`shape` without its leading axes of length one, (1,) if all are: an
     elementwise op splits on the leading axis of this view."""
-    if shape and shape[0] > 1:
-        return shape
-    lead = next((i for i, d in enumerate(shape) if d > 1), len(shape))
+    lead = next((i for i, d in enumerate(shape) if d != 1), len(shape))
     return shape[lead:] or (1,)
 
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """`x * y` into a new C-contiguous array, split as `_rows` says."""
+    """`x * y`; one large enough to split goes into a new C-contiguous
+    array, split as `_rows` says.  Its bytes count three times the larger
+    operand, as if the output were no larger (it is, in an outer product)."""
+    nbytes = 3 * max(x.nbytes, y.nbytes)
+    if not _may_split(nbytes):
+        return x * y
     xs, ys = x.shape, y.shape
     shape = xs if xs == ys or not ys else ys if not xs else np.broadcast_shapes(xs, ys)
     out = np.empty(shape, np.result_type(x, y))
-    rows = out if shape and shape[0] > 1 else out.reshape(_rows(shape))
+    rows = out.reshape(_rows(shape))
     n = len(rows)
     # the leading axes `_rows` drops have length one in the operands too
     if x.ndim > rows.ndim:
@@ -563,7 +579,7 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         y = y.reshape(y.shape[y.ndim - rows.ndim :])
     # an operand without the leading axis, or with length one there, broadcasts whole
     cut_x, cut_y = x.ndim == rows.ndim and len(x) == n, y.ndim == rows.ndim and len(y) == n
-    _split(n, 3 * out.nbytes, lambda s: np.multiply(x[s] if cut_x else x, y[s] if cut_y else y, out=rows[s]))
+    _split(n, nbytes, lambda s: np.multiply(x[s] if cut_x else x, y[s] if cut_y else y, out=rows[s]))
     return out
 
 
@@ -674,13 +690,20 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     ad, na = a.data, a._node
-    out_data = np.empty_like(ad)  # in the input's memory order, as numpy's own output
-    rows = out_data.reshape(_rows(ad.shape))
-    x = ad.reshape(rows.shape)
-    _split(len(rows), 2 * rows.nbytes, lambda s: np.maximum(x[s], 0, out=rows[s]))
+    if _may_split(2 * ad.nbytes):
+        out_data = np.empty_like(ad)  # in the input's memory order, as numpy's own output
+        rows = out_data.reshape(_rows(ad.shape))
+        x = ad.reshape(rows.shape)
+        _split(len(rows), 2 * rows.nbytes, lambda s: np.maximum(x[s], 0, out=rows[s]))
+    else:
+        out_data = np.maximum(ad, 0)
 
     def bw(g):
+        if not _may_split(3 * g.nbytes):
+            _accum(na, g * (out_data > 0))
+            return
         # the mask is allocated here, not in a part: see `_split` on temporaries
+        rows = out_data.reshape(_rows(out_data.shape))
         gx, mask = np.empty(rows.shape, np.result_type(g, np.bool_)), np.empty(rows.shape, np.bool_)
         gr = g.reshape(rows.shape)
 
@@ -813,11 +836,15 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     OpenBLAS picks its kernel by the matrix size, and the kernels round
     differently, so rows or columns multiplied apart may differ in the last
     bit from the same rows or columns of the whole product.  It runs as one
-    call, on OpenBLAS's own threads.
+    call, on OpenBLAS's own threads, as does a product too small to split.
     """
-    lead = x.shape[:-2] if x.shape[:-2] == y.shape[:-2] else np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+    if x.ndim < 2 or y.ndim < 2 or x.ndim < 3 and y.ndim < 3:
+        return np.matmul(x, y)
+    xl, yl = x.shape[:-2], y.shape[:-2]
+    lead = xl if xl == yl or not yl else yl if not xl else np.broadcast_shapes(xl, yl)
     k = next((i for i, d in enumerate(lead) if d > 1), None)
-    if k is None or x.ndim < 2 or y.ndim < 2:
+    size = math.prod(lead) * x.shape[-2] * y.shape[-1]
+    if k is None or not _may_split(x.nbytes + y.nbytes + size * max(x.itemsize, y.itemsize)):
         return np.matmul(x, y)
     out = np.empty(lead + (x.shape[-2], y.shape[-1]), np.result_type(x, y))
     n, ax = lead[k], k - out.ndim

@@ -1043,7 +1043,7 @@ class TestThreadSplit:
         real = T._split
 
         def counting(n, nbytes, fn, grain=1):
-            count[0] += nbytes >= T._SPLIT_BYTES and min(T._PARTS, n // grain) >= 2
+            count[0] += min(T._PARTS, n // grain, nbytes // T._PART_BYTES) >= 2
             real(n, nbytes, fn, grain)
 
         monkeypatch.setattr(T, "_split", counting)
@@ -1051,11 +1051,11 @@ class TestThreadSplit:
 
     @staticmethod
     def inline_and_split(monkeypatch, splits, parts, run):
-        """`run()` with one part, then in `parts` parts with the cutoff at zero."""
+        """`run()` with one part, then in `parts` parts of any size."""
         monkeypatch.setattr(T, "_PARTS", 1)
         inline = run()
         monkeypatch.setattr(T, "_PARTS", parts)
-        monkeypatch.setattr(T, "_SPLIT_BYTES", 0)
+        monkeypatch.setattr(T, "_PART_BYTES", 1)
         splits[0] = 0
         split = run()
         assert splits[0] > 0, "the case must take the split path"
@@ -1100,7 +1100,7 @@ class TestThreadSplit:
     def test_single_matrix_is_one_blas_call(self, monkeypatch, splits):
         """Rows of a product may round differently from the whole, so a single matrix never splits."""
         monkeypatch.setattr(T, "_PARTS", 2)
-        monkeypatch.setattr(T, "_SPLIT_BYTES", 0)
+        monkeypatch.setattr(T, "_PART_BYTES", 1)
         rng = np.random.default_rng(68)
         x, w = rng.standard_normal((9, 4), dtype=np.float32), rng.standard_normal((4, 8), dtype=np.float32)
         assert np.array_equal(T.matmul(Tensor(x), Tensor(w)).data, np.matmul(x, w))
@@ -1145,7 +1145,7 @@ class TestThreadSplit:
             self.inline_and_split(monkeypatch, splits, parts, lambda: self.outputs_and_grads(T.relu, [x]))
         else:  # one element: one part, the same code
             monkeypatch.setattr(T, "_PARTS", parts)
-            monkeypatch.setattr(T, "_SPLIT_BYTES", 0)
+            monkeypatch.setattr(T, "_PART_BYTES", 1)
             np.testing.assert_array_equal(T.relu(Tensor(x)).data, np.maximum(x, 0))
 
     @pytest.mark.parametrize("parts", [2, 3])
@@ -1155,10 +1155,31 @@ class TestThreadSplit:
         arrays = [rng.standard_normal(a).astype(np.float32), rng.standard_normal(b).astype(np.float32)]
         self.inline_and_split(monkeypatch, splits, parts, lambda: self.outputs_and_grads(T.mul, arrays))
 
+    @pytest.mark.parametrize("nbytes,cuts", [(19, [(0, 8)]), (25, [(0, 4), (4, 8)]), (100, [(0, 2), (2, 4), (4, 6), (6, 8)])])
+    def test_each_part_gets_at_least_the_part_bytes(self, monkeypatch, nbytes, cuts):
+        monkeypatch.setattr(T, "_PARTS", 4)
+        monkeypatch.setattr(T, "_PART_BYTES", 10)
+        seen = []
+        T._split(8, nbytes, lambda s: seen.append((s.start, s.stop)))
+        assert sorted(seen) == cuts
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    @pytest.mark.parametrize("a,b", [((0,), (0,)), ((0, 3), (3,)), ((1, 0, 3), (3,)), ((2, 0), (2, 1))])
+    def test_empty_relu_and_mul(self, monkeypatch, parts, a, b):
+        monkeypatch.setattr(T, "_PARTS", parts)
+        monkeypatch.setattr(T, "_PART_BYTES", 1)
+        x, w = np.ones(a, np.float32), np.ones(b, np.float32)
+        y, gx = self.outputs_and_grads(T.relu, [x])
+        assert y.shape == gx.shape == a
+        y, gx, gw = self.outputs_and_grads(T.mul, [x, w])
+        assert y.shape == np.broadcast_shapes(a, b) and gx.shape == a
+        assert np.array_equal(gw, np.zeros(b, np.float32))
+        assert T.relu(T.gather_rows(Tensor(np.ones((4, 2), np.float32)), [])).shape == (0, 2)
+
     @pytest.mark.parametrize("axis", [-1, 0])
     def test_non_finite_in_the_second_part_raises_and_helpers_go_on(self, monkeypatch, axis):
         monkeypatch.setattr(T, "_PARTS", 2)
-        monkeypatch.setattr(T, "_SPLIT_BYTES", 0)
+        monkeypatch.setattr(T, "_PART_BYTES", 1)
         monkeypatch.setattr(T, "_SOFTMAX_BLOCK_BYTES", 1)  # a row or a slice per block
         x = np.arange(60, dtype=np.float32).reshape(6, 10) / 60
         bad = x.copy()
@@ -1169,15 +1190,17 @@ class TestThreadSplit:
         monkeypatch.setattr(T, "_PARTS", 1)
         assert np.array_equal(y, T.softmax(Tensor(x), axis=-1).data)
 
-    def test_concurrent_callers_with_more_parts_than_cores(self, monkeypatch):
-        """Two threads split at once, in four parts each, with the interpreter
-        switching threads as often as it can: the one that finds the helpers
-        busy runs inline, and every result is the inline one."""
+    def test_two_threads_split_softmax_at_once(self, monkeypatch):
+        """Two threads split softmax at once, in four parts each, with the
+        interpreter switching threads as often as it can: the one that finds
+        the helpers busy runs inline, and every result is the inline one.
+        Softmax calls no BLAS; ops that do must not run beside each other
+        (see the thread policy in the module docstring)."""
         rng = np.random.default_rng(69)
         xs = [rng.standard_normal((8, 33), dtype=np.float32) for _ in range(2)]
         refs = [T.softmax(Tensor(x)).data for x in xs]
         monkeypatch.setattr(T, "_PARTS", 4)
-        monkeypatch.setattr(T, "_SPLIT_BYTES", 0)
+        monkeypatch.setattr(T, "_PART_BYTES", 1)
         wrong = []
 
         def run(k):
@@ -1230,18 +1253,24 @@ class TestThreadSplit:
     @pytest.mark.skipif(T._BLAS is None, reason="numpy bundles no OpenBLAS")
     def test_blas_runs_one_thread_while_a_split_runs(self, monkeypatch):
         monkeypatch.setattr(T, "_PARTS", 2)
-        monkeypatch.setattr(T, "_SPLIT_BYTES", 0)
-        seen = []
-        T._split(2, 0, lambda s: seen.append(T._BLAS[0]()))
+        monkeypatch.setattr(T, "_PART_BYTES", 1)
+        before, seen = T._BLAS[0](), []
+        T._split(2, 2, lambda s: seen.append(T._BLAS[0]()))
         assert seen == [1, 1]
-        assert T._BLAS[0]() == T._BLAS_THREADS
+        assert T._BLAS[0]() == before
+        try:  # the count at the split's start comes back, not the one at import
+            T._BLAS[1](1)
+            T._split(2, 2, lambda s: None)
+            assert T._BLAS[0]() == 1
+        finally:
+            T._BLAS[1](before)
 
     def test_process_with_helpers_exits_promptly(self):
         start = time.perf_counter()
         out = self.python(
             "import threading, numpy as np\n"
             "from semidense import tensor as T\n"
-            "T._PARTS, T._SPLIT_BYTES = 2, 0\n"
+            "T._PARTS, T._PART_BYTES = 2, 1\n"
             "T.relu(T.Tensor(np.ones((4, 4), np.float32)))\n"
             "print(threading.active_count())\n",
         )
