@@ -123,6 +123,7 @@ class Conv2d(Module):
         groups: int = 1,
     ):
         super().__init__()
+        T._conv_args_check(stride, padding, groups)
         fan_in = (in_channels // groups) * kernel_size * kernel_size
         self.weight = Parameter(
             kaiming_normal(rng, (out_channels, in_channels // groups, kernel_size, kernel_size), fan_in)

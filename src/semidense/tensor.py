@@ -4,7 +4,9 @@ numpy arrays hold the data; every differentiable op records a closure that
 scatters upstream gradients back to its inputs.  float32 is the working
 precision for training and inference, float64 exists for gradient checking.
 Ops are pure functions over immutable inputs; every reduction runs in a
-fixed order, so equal seeds give bitwise equal results.  Convolution has one
+fixed order, so equal seeds give bitwise equal results for a given
+OpenBLAS thread count (another count may cut a matrix product differently
+and change the last bit of some of its sums).  Convolution has one
 code path, an im2col-GEMM whose single patch layout serves forward and
 backward (see `conv2d`).  The layout folds the batch into the GEMM columns,
 so backward runs one weight-gradient GEMM per block, not a weight-sized
@@ -51,28 +53,31 @@ shrink after a peak; the peak itself does not grow.  Where libc has no
 Thread policy (process-wide, set once at import): an op too large for
 one core splits into parts of at least `_PART_BYTES`, at most as many as
 the thread count OpenBLAS was given (`OPENBLAS_NUM_THREADS`, or OpenBLAS's
-default of one per core).  The calling thread runs the first part and
-count - 1 helper threads, started on the first split, run the others
-(`_split`).  BLAS threads only matrix products; a split also reaches the
-copies, elementwise passes, reductions and softmax that make up most of a
-step.  While a split runs, OpenBLAS is at one thread and its worker
-threads are stopped: after each threaded GEMM they spin for about 0.1 s on
-the other cores, where the helpers would wait for them, and OpenBLAS
-starts them again on its next threaded GEMM.  Outside splits OpenBLAS
-keeps its count, so a single matrix product (which cannot split, see
-`_matmul`) and every op too small to split run exactly as without the
-policy.  An op splits on an axis whose slices are independent, and every
-output element then sees the same numpy calls on the same values in the
-same order as with one part, so the results do not depend on the count;
-the tests check this bit for bit.  The ops that split: conv2d per image
-(see `conv2d`), matmul and linear over batch axes (`_matmul`), softmax
-over rows or blocks (see `softmax`), batchnorm2d over channels, relu and
-mul over the leading axis.  With a count of one or without OpenBLAS no op
-splits.  OpenBLAS's thread count and workers are process-wide, and a split
-changes them under any other thread: engine ops must not run beside other
-BLAS work, engine ops in another thread included.  (Two threads may call
-ops that use no BLAS at once: the one that finds the helpers busy runs its
-op inline.)
+default of one per core).  The calling thread hands every part but the
+first to a `concurrent.futures` pool of count - 1 threads, made on the
+first split, and runs the first part itself; then it runs every part that
+no pool thread has started yet, so a split never waits for a thread that
+is slow to wake, and waits for the parts that are running (`_split`).
+BLAS threads only matrix products; a split also reaches the copies,
+elementwise passes, reductions and softmax that make up most of a step.
+While a split runs, OpenBLAS is at one thread and its worker threads are
+stopped: after each threaded GEMM they spin for about 0.1 s on the other
+cores, where the pool's threads would wait for them, and OpenBLAS starts
+them again on its next threaded GEMM.  Outside splits OpenBLAS keeps its
+count, so a single matrix product (which cannot split, see `_matmul`) and
+every op too small to split run exactly as without the policy.  An op
+splits on an axis whose slices are independent, and every output element
+then sees the same numpy calls on the same values in the same order as
+with one part, so the results depend neither on the count nor on which
+thread runs a part; the tests check this bit for bit.  The ops that
+split: conv2d per image (see `conv2d`), matmul and linear over batch axes
+(`_matmul`), softmax over rows or blocks (see `softmax`), batchnorm2d over
+channels, relu and mul over the leading axis.  With a count of one or
+without OpenBLAS no op splits and no thread starts.  OpenBLAS's thread
+count and workers are process-wide, and a split changes them under any
+other thread: engine ops must not run beside other BLAS work, engine ops
+in another thread included.  (Two threads may call ops that use no BLAS
+at once: the one that finds the pool busy runs its op inline.)
 """
 
 from __future__ import annotations
@@ -145,32 +150,9 @@ _PARTS = max(1, _BLAS[0]()) if _BLAS else 1
 _PART_BYTES = 2 << 20
 
 
-class _Helper:
-    """A daemon thread that runs one part of a split at a time."""
-
-    def __init__(self):
-        self.go, self.done = threading.Lock(), threading.Lock()
-        self.go.acquire()
-        self.done.acquire()
-        self.task = self.error = None
-        threading.Thread(target=self._loop, name="semidense-helper", daemon=True).start()
-
-    def _loop(self):
-        while True:
-            self.go.acquire()
-            fn, part = self.task
-            self.task = None
-            try:
-                fn(part)
-            except BaseException as exc:  # noqa: BLE001 - `_split` re-raises it in the caller
-                self.error = exc
-            del fn, part  # a waiting helper holds none of the caller's arrays
-            self.done.release()
-
-
-_helpers: list[_Helper] = []
-_helpers_busy = threading.Lock()  # held by the thread whose split runs on the helpers
-os.register_at_fork(after_in_child=_helpers.clear)  # a forked child has no helper threads
+_pool: list = []  # the helper threads' executor, made on the first split
+_helpers_busy = threading.Lock()  # held by the thread whose split runs on the pool
+os.register_at_fork(after_in_child=_pool.clear)  # a forked child has none of the pool's threads
 
 
 def _may_split(nbytes: int) -> bool:
@@ -185,11 +167,13 @@ def _split(n: int, nbytes: int, fn, grain: int = 1) -> None:
     The slices index an axis whose slices are independent, and each holds
     at least `grain` items.  The parts are at most `_PARTS`, and each
     covers at least `_PART_BYTES` of the `nbytes` the op reads and writes.
-    With one part, or while another thread's split holds the helpers,
-    `fn(slice(0, n))` runs once, inline.  Otherwise the range is cut into
-    that many contiguous parts of equal length; the calling thread runs the
-    first and helper threads the others, and the call returns once all
-    have finished, raising the first part's exception, if any.  `fn`
+    With one part, while another thread's split holds the pool, or once
+    the interpreter has begun to exit, `fn(slice(0, n))` runs once,
+    inline.  Otherwise the range is cut into that many contiguous parts of
+    equal length.  The calling thread hands all but the first to the
+    pool's threads and runs the first; it then runs itself every part that
+    no helper has started yet, waits for the others, and raises the
+    exception of a part that failed, if any.  `fn`
     writes into arrays its caller allocated: a large temporary made in a
     helper comes from that thread's malloc arena, which hands it back to
     the system once free, so each call would fault its pages in again.
@@ -198,32 +182,40 @@ def _split(n: int, nbytes: int, fn, grain: int = 1) -> None:
     if parts < 2 or not _helpers_busy.acquire(blocking=False):
         fn(slice(0, n))
         return
-    started, threads = [], None
+    threads = None
     try:
         if _BLAS is not None:  # OpenBLAS off the helpers' cores: one thread, its idle workers stopped
             threads = _BLAS[0]()
             _BLAS[1](1)
             _BLAS[2]()
-        while len(_helpers) < parts - 1:
-            _helpers.append(_Helper())
+        if not _pool:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool.append(ThreadPoolExecutor(_PARTS - 1, "semidense-helper"))
         cuts = [n * k // parts for k in range(parts + 1)]
-        for helper, lo, hi in zip(_helpers, cuts[1:-1], cuts[2:]):
-            helper.task = (fn, slice(lo, hi))
-            helper.go.release()
-            started.append(helper)
-        fn(slice(0, cuts[1]))
+        rest = [slice(lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+        task = [fn]  # emptied below: a work item outlives its part and must not keep the op's arrays
+        try:
+            futures = [_pool[0].submit(lambda part: task[0](part), part) for part in rest]
+        except RuntimeError:  # the pool takes no parts once the interpreter starts to exit
+            fn(slice(0, n))
+            return
+        try:
+            fn(slice(0, cuts[1]))
+            for future, part in zip(futures, rest):
+                if future.cancel():  # no helper has started this part: run it here
+                    fn(part)
+        finally:  # the parts write into shared arrays: stop or wait for each
+            started = [future for future in futures if not future.cancel()]
+            for future in started:
+                future.exception()
+            task.clear()
+        for future in started:
+            future.result()
     finally:
-        errors = []
-        for helper in started:  # the parts write into shared arrays: wait for all
-            helper.done.acquire()
-            errors.append(helper.error)
-            helper.error = None
         if threads is not None:
             _BLAS[1](threads)
         _helpers_busy.release()
-    for exc in errors:
-        if exc is not None:
-            raise exc
 
 
 @contextmanager
@@ -242,8 +234,12 @@ def set_parallel(num_workers: int = 0) -> None:
     """Accept 0, the only mode there is; any other worker count is an error.
 
     The name stays for existing importers.  The thread count is not a
-    setting: large ops split over as many threads as OpenBLAS was given
-    (see the thread policy in the module docstring).  A split changes
+    setting: a large op splits into as many parts as OpenBLAS was given
+    threads, the caller runs the first and a thread pool made on the first
+    split runs the others, and the caller also runs every part that no
+    pool thread has started by the time its own is done (see the thread
+    policy in the module docstring).  Results are bitwise equal for any
+    part count, though not for any OpenBLAS thread count.  A split changes
     OpenBLAS's process-wide thread count, so engine ops must not run
     beside other BLAS work, engine ops in another thread included.
     """
@@ -258,9 +254,11 @@ class Node:
     """The graph state of a tensor that requires grad.
 
     An op's output node holds the op's backward closure and the nodes of
-    its inputs that require grad; a leaf's node has neither, and backward
-    clears both from an op's node once its closure has run.  `grad`,
-    `shape` and `dtype` follow the rules of the module docstring.
+    its inputs that require grad; a leaf's node has no closure and no
+    parents.  Backward releases an op's node once its closure has run: it
+    drops the closure and sets `parents` to None, so an op or a backward
+    that later reaches the node raises instead of taking it for a leaf.
+    `grad`, `shape` and `dtype` follow the rules of the module docstring.
     """
 
     __slots__ = ("backward", "parents", "grad", "shape", "dtype")
@@ -431,6 +429,9 @@ def _wrap(other, like: Tensor):
     return Tensor(arr)
 
 
+_RELEASED = "comes from a graph that backward() has released; run the forward pass again"
+
+
 def _make(data, parents, backward_fn) -> Tensor:
     """Wrap an op's output; give it a node when recording is on and a parent has one.
 
@@ -439,7 +440,11 @@ def _make(data, parents, backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out._data = data
     if _grad_enabled and any(parents):
-        out._node = Node(backward_fn, tuple(filter(None, parents)), data.shape, data.dtype)
+        parents = tuple(filter(None, parents))
+        for p in parents:
+            if p.parents is None:
+                raise RuntimeError(f"an input of this op {_RELEASED}")
+        out._node = Node(backward_fn, parents, data.shape, data.dtype)
     else:
         out._node = None
     return out
@@ -453,7 +458,8 @@ def backward(loss: Tensor) -> None:
     ones into it; one that backward does not reach keeps the `.grad` it had,
     None after `zero_grad`.  Inner gradients are borrowed and freed: after
     backward every inner node, the loss included, has `.grad` None, and the
-    tape is released node by node as it unwinds.
+    tape is released node by node as it unwinds: a second backward through
+    any of it raises RuntimeError.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -475,6 +481,8 @@ def backward(loss: Tensor) -> None:
         if node in visited:
             continue
         visited.add(node)
+        if node.parents is None:
+            raise RuntimeError(f"backward: this loss {_RELEASED}")
         stack.append((node, True))
         for p in node.parents:
             if p not in visited:
@@ -486,7 +494,7 @@ def backward(loss: Tensor) -> None:
         fn, g = node.backward, node.grad
         if fn is None:
             continue  # a leaf keeps its gradient
-        node.backward, node.parents, node.grad = None, (), None
+        node.backward, node.parents, node.grad = None, None, None
         if g is not None:
             fn(g)
 
@@ -1027,7 +1035,15 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-8) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _conv_args_check(stride, padding, groups):
+    """Raise ValueError naming the first of conv2d's int arguments out of range."""
+    for name, v, least in (("stride", stride, 1), ("padding", padding, 0), ("groups", groups, 1)):
+        if not isinstance(v, (int, np.integer)) or v < least:
+            raise ValueError(f"conv2d: {name} must be an int >= {least}, got {v!r}")
+
+
 def _conv_shape_check(x, w, stride, padding, groups):
+    _conv_args_check(stride, padding, groups)
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"conv2d expects NCHW input and OIHW weight, got {x.shape} and {w.shape}")
     n, c, h, wd = x.shape
@@ -1206,6 +1222,8 @@ def batchnorm2d(
     folds gamma and beta into one scale and shift.  The tape keeps only the
     per-channel mean and inverse std; backward recomputes x_hat from x.
     """
+    if x.data.ndim != 4:
+        raise ValueError(f"batchnorm2d expects NCHW input, got shape {x.data.shape}")
     n, c, h, w = x.data.shape
     for name, v in (("running_mean", running_mean), ("running_var", running_var), ("gamma", gamma.data), ("beta", beta.data)):
         if v.shape != (c,):

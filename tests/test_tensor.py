@@ -13,6 +13,8 @@ import tracemalloc
 import types
 import warnings
 import weakref
+from concurrent.futures import Future
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from helpers import check_gradients
 from semidense import tensor as T
+from semidense.module import BatchNorm2d, Conv2d
 from semidense.tensor import Tensor
 
 
@@ -250,6 +253,29 @@ class TestConv2d:
             T.conv2d(x, Tensor(np.zeros((4, 3, 7, 7))), padding=0)
         with pytest.raises(ValueError, match="input channels"):
             T.conv2d(x, Tensor(np.zeros((4, 2, 3, 3))))
+
+
+@pytest.mark.parametrize(
+    "build,name",
+    [
+        (lambda x, w: T.conv2d(x, w, stride=0), "stride"),
+        (lambda x, w: T.conv2d(x, w, stride=-1), "stride"),
+        (lambda x, w: T.conv2d(x, w, stride=1.0), "stride"),
+        (lambda x, w: T.conv2d(x, w, padding=-1), "padding"),
+        (lambda x, w: T.conv2d(x, w, padding="1"), "padding"),
+        (lambda x, w: T.conv2d(x, w, groups=0), "groups"),
+        (lambda x, w: Conv2d(4, 4, 3, np.random.default_rng(0), stride=0), "stride"),
+        (lambda x, w: Conv2d(4, 4, 3, np.random.default_rng(0), groups=0), "groups"),
+        (lambda x, w: BatchNorm2d(4)(Tensor(np.ones((2, 4), np.float32))), "NCHW"),
+        (lambda x, w: BatchNorm2d(4)(Tensor(np.ones((1, 4, 2, 2, 2), np.float32))), "NCHW"),
+    ],
+    ids=["stride-0", "stride-negative", "stride-float", "padding-negative", "padding-str", "groups-0",
+         "Conv2d-stride-0", "Conv2d-groups-0", "batchnorm-2d", "batchnorm-5d"],
+)
+def test_bad_conv_and_batchnorm_arguments_are_named(build, name):
+    x, w = Tensor(np.ones((1, 4, 5, 5), np.float32)), Tensor(np.ones((4, 4, 3, 3), np.float32))
+    with pytest.raises(ValueError, match=name):
+        build(x, w)
 
 
 class TestLinear:
@@ -620,6 +646,22 @@ class TestGradientOwnership:
         loss.backward()
         assert a.grad.dtype == np.float32
         np.testing.assert_array_equal(a.grad, [4.0, 5.0])
+
+    def test_a_released_graph_raises_instead_of_passing_for_a_leaf(self):
+        x = Tensor(np.ones(2, np.float32), requires_grad=True)
+        z = x * 3.0
+        built_before = (z * 2.0).sum()
+        z.sum().backward()
+        with pytest.raises(RuntimeError, match="released"):
+            z * 2.0
+        with pytest.raises(RuntimeError, match="released"):
+            built_before.backward()
+        loss = (x * 3.0).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="released"):
+            loss.backward()
+        assert z.grad is None and loss.grad is None
+        np.testing.assert_array_equal(x.grad, [6.0, 6.0])  # two backwards, none of the failed ones
 
     def test_closure_receives_an_ndarray_of_the_node_dtype(self):
         seen = []
@@ -1033,8 +1075,8 @@ class TestDeterminismAndParallel:
 
 
 class TestThreadSplit:
-    """Ops that `_split` cuts into parts run on helper threads and give the
-    inline path's outputs and gradients bit for bit."""
+    """Ops that `_split` cuts into parts run on the pool's threads and give
+    the inline path's outputs and gradients bit for bit."""
 
     @pytest.fixture
     def splits(self, monkeypatch):
@@ -1155,6 +1197,41 @@ class TestThreadSplit:
         arrays = [rng.standard_normal(a).astype(np.float32), rng.standard_normal(b).astype(np.float32)]
         self.inline_and_split(monkeypatch, splits, parts, lambda: self.outputs_and_grads(T.mul, arrays))
 
+    def test_a_part_no_helper_started_runs_on_the_calling_thread(self, monkeypatch, splits):
+        """A pool whose threads never start a part and whose queue keeps what
+        it is handed: the caller runs every part, in order, the queue keeps
+        none of the op's arrays, and conv2d gives the inline outputs bit for
+        bit."""
+
+        class Idle:
+            def __init__(self):
+                self.queue = []
+
+            def submit(self, fn, *args):
+                self.queue.append((fn, args))
+                return Future()
+
+        pool = Idle()
+        monkeypatch.setattr(T, "_pool", [pool])
+        monkeypatch.setattr(T, "_PARTS", 3)
+        monkeypatch.setattr(T, "_PART_BYTES", 1)
+        seen, out = [], np.zeros(6)
+
+        def part(out, s):
+            out[s] = s.start
+            seen.append((s.start, s.stop, threading.get_ident()))
+
+        T._split(6, 6, partial(part, out))
+        assert seen == [(lo, lo + 2, threading.get_ident()) for lo in (0, 2, 4)]
+        assert np.array_equal(out, [0, 0, 2, 2, 4, 4]) and len(pool.queue) == 2
+        freed = weakref.ref(out)
+        del out
+        assert freed() is None
+        rng = np.random.default_rng(70)
+        x, w = rng.standard_normal((3, 4, 6, 5), dtype=np.float32), rng.standard_normal((5, 4, 3, 3), dtype=np.float32)
+        op = lambda x, w: T.conv2d(x, w, padding=1)
+        self.inline_and_split(monkeypatch, splits, 3, lambda: self.outputs_and_grads(op, [x, w]))
+
     @pytest.mark.parametrize("nbytes,cuts", [(19, [(0, 8)]), (25, [(0, 4), (4, 8)]), (100, [(0, 2), (2, 4), (4, 6), (6, 8)])])
     def test_each_part_gets_at_least_the_part_bytes(self, monkeypatch, nbytes, cuts):
         monkeypatch.setattr(T, "_PARTS", 4)
@@ -1264,6 +1341,33 @@ class TestThreadSplit:
             assert T._BLAS[0]() == 1
         finally:
             T._BLAS[1](before)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_forked_child_completes_a_split_on_its_own_pool(self):
+        out = self.python(
+            "import os, threading, numpy as np\n"
+            "from semidense import tensor as T\n"
+            "T._PARTS, T._PART_BYTES = 2, 1\n"
+            "x = T.Tensor(np.arange(-8, 8, dtype=np.float32).reshape(4, 4))\n"
+            "T.relu(x)\n"  # the parent's pool starts its thread
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    ok = np.array_equal(T.relu(x).data, np.maximum(x.data, 0))\n"
+            "    os._exit(0 if ok and threading.active_count() == 2 else 1)\n"  # the child's own helper
+            "print(os.waitpid(pid, 0)[1])\n",
+        )
+        assert out == ["0"]
+
+    def test_split_at_interpreter_exit_runs_inline(self):
+        out = self.python(
+            "import atexit, numpy as np\n"
+            "from semidense import tensor as T\n"
+            "T._PARTS, T._PART_BYTES = 2, 1\n"
+            "x = T.Tensor(np.arange(-8, 8, dtype=np.float32).reshape(4, 4))\n"
+            "T.relu(x)\n"
+            "atexit.register(lambda: print(np.array_equal(T.relu(x).data, np.maximum(x.data, 0))))\n",
+        )
+        assert out == ["True"]
 
     def test_process_with_helpers_exits_promptly(self):
         start = time.perf_counter()
