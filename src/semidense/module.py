@@ -24,6 +24,13 @@ def kaiming_normal(rng: np.random.Generator, shape, fan_in: int, gain: float = n
     return rng.normal(0.0, std, size=shape)
 
 
+def _check_sizes(layer: str, **sizes) -> None:
+    """Raise ValueError naming the first of `sizes` that is not an int >= 1."""
+    for name, v in sizes.items():
+        if not isinstance(v, (int, np.integer)) or v < 1:
+            raise ValueError(f"{layer}: {name} must be an int >= 1, got {v!r}")
+
+
 class Module:
     """Minimal module tree: tracks parameters, buffers, and train/eval mode."""
 
@@ -102,6 +109,7 @@ class Module:
 class Linear(Module):
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator, bias: bool = True, gain: float = np.sqrt(2.0)):
         super().__init__()
+        _check_sizes("Linear", in_features=in_features, out_features=out_features)
         self.weight = Parameter(kaiming_normal(rng, (out_features, in_features), in_features, gain))
         self.bias = Parameter(np.zeros(out_features, dtype=np.float32)) if bias else None
 
@@ -124,6 +132,10 @@ class Conv2d(Module):
     ):
         super().__init__()
         T._conv_args_check(stride, padding, groups)
+        _check_sizes("Conv2d", in_channels=in_channels, out_channels=out_channels, kernel_size=kernel_size)
+        for name, v in (("in_channels", in_channels), ("out_channels", out_channels)):
+            if v % groups:
+                raise ValueError(f"Conv2d: {name}={v} is not divisible by groups={groups}")
         fan_in = (in_channels // groups) * kernel_size * kernel_size
         self.weight = Parameter(
             kaiming_normal(rng, (out_channels, in_channels // groups, kernel_size, kernel_size), fan_in)

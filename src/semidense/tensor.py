@@ -72,7 +72,9 @@ with one part, so the results depend neither on the count nor on which
 thread runs a part; the tests check this bit for bit.  The ops that
 split: conv2d per image (see `conv2d`), matmul and linear over batch axes
 (`_matmul`), softmax over rows or blocks (see `softmax`), batchnorm2d over
-channels, relu and mul over the leading axis.  With a count of one or
+channels, and mul of two arrays of one shape or by a scalar over the
+leading axis (`_product`).  relu is one pass, which measured no faster
+in parts, so it runs as one numpy call.  With a count of one or
 without OpenBLAS no op splits and no thread starts.  OpenBLAS's thread
 count and workers are process-wide, and a split changes them under any
 other thread: engine ops must not run beside other BLAS work, engine ops
@@ -561,33 +563,21 @@ def sub(a, b) -> Tensor:
     return _make(a.data - b.data, (na, nb), bw)
 
 
-def _rows(shape) -> tuple:
-    """`shape` without its leading axes of length one, (1,) if all are: an
-    elementwise op splits on the leading axis of this view."""
-    lead = next((i for i, d in enumerate(shape) if d != 1), len(shape))
-    return shape[lead:] or (1,)
-
-
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """`x * y`; one large enough to split goes into a new C-contiguous
-    array, split as `_rows` says.  Its bytes count three times the larger
-    operand, as if the output were no larger (it is, in an outer product)."""
+    """`x * y`.  A product of two arrays of one shape, or of an array and a
+    0-d array, large enough to split goes into a new C-contiguous array,
+    split on its leading axis after any leading axes of length one.  Any
+    other product is one numpy call.  Its bytes count three times the
+    larger operand."""
     nbytes = 3 * max(x.nbytes, y.nbytes)
-    if not _may_split(nbytes):
+    if x.shape != y.shape and x.ndim and y.ndim or not _may_split(nbytes):
         return x * y
-    xs, ys = x.shape, y.shape
-    shape = xs if xs == ys or not ys else ys if not xs else np.broadcast_shapes(xs, ys)
+    shape = x.shape or y.shape
     out = np.empty(shape, np.result_type(x, y))
-    rows = out.reshape(_rows(shape))
-    n = len(rows)
-    # the leading axes `_rows` drops have length one in the operands too
-    if x.ndim > rows.ndim:
-        x = x.reshape(x.shape[x.ndim - rows.ndim :])
-    if y.ndim > rows.ndim:
-        y = y.reshape(y.shape[y.ndim - rows.ndim :])
-    # an operand without the leading axis, or with length one there, broadcasts whole
-    cut_x, cut_y = x.ndim == rows.ndim and len(x) == n, y.ndim == rows.ndim and len(y) == n
-    _split(n, nbytes, lambda s: np.multiply(x[s] if cut_x else x, y[s] if cut_y else y, out=rows[s]))
+    lead = next((i for i, d in enumerate(shape) if d != 1), len(shape))
+    rows = out.reshape(shape[lead:] or (1,))
+    x, y = (a.reshape(rows.shape) if a.ndim else a for a in (x, y))
+    _split(len(rows), nbytes, lambda s: np.multiply(x[s] if x.ndim else x, y[s] if y.ndim else y, out=rows[s]))
     return out
 
 
@@ -685,7 +675,7 @@ def sigmoid(a: Tensor) -> Tensor:
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out_data = np.where(x >= 0, 1.0, e)
+    out_data = np.maximum(e, x >= 0)  # 0 <= e <= 1: 1 for x >= 0, e below
     e += 1.0
     out_data /= e
     na = a._node
@@ -697,30 +687,10 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    ad, na = a.data, a._node
-    if _may_split(2 * ad.nbytes):
-        out_data = np.empty_like(ad)  # in the input's memory order, as numpy's own output
-        rows = out_data.reshape(_rows(ad.shape))
-        x = ad.reshape(rows.shape)
-        _split(len(rows), 2 * rows.nbytes, lambda s: np.maximum(x[s], 0, out=rows[s]))
-    else:
-        out_data = np.maximum(ad, 0)
+    out_data, na = np.maximum(a.data, 0), a._node
 
     def bw(g):
-        if not _may_split(3 * g.nbytes):
-            _accum(na, g * (out_data > 0))
-            return
-        # the mask is allocated here, not in a part: see `_split` on temporaries
-        rows = out_data.reshape(_rows(out_data.shape))
-        gx, mask = np.empty(rows.shape, np.result_type(g, np.bool_)), np.empty(rows.shape, np.bool_)
-        gr = g.reshape(rows.shape)
-
-        def part(s):
-            np.greater(rows[s], 0, out=mask[s])
-            np.multiply(gr[s], mask[s], out=gx[s])
-
-        _split(len(gx), 3 * gx.nbytes, part)
-        _accum(na, gx.reshape(out_data.shape))
+        _accum(na, g * (out_data > 0))
 
     return _make(out_data, (na,), bw)
 

@@ -145,3 +145,21 @@ def test_float64_copy_gets_float64_gradients():
     net(Tensor(np.random.default_rng(4).normal(size=(2, 2, 5, 5)))).sum().backward()
     for name, p in net.named_parameters():
         assert p.grad.dtype == np.float64 and p.grad.shape == p.shape, name
+
+
+@pytest.mark.parametrize(
+    "make,name",
+    [
+        (lambda rng: Conv2d(4, 4, 0, rng), "kernel_size"),
+        (lambda rng: Conv2d(4, 4, -1, rng), "kernel_size"),
+        (lambda rng: Conv2d(0, 4, 3, rng), "in_channels"),
+        (lambda rng: Conv2d(5, 4, 3, rng, groups=2), "in_channels"),
+        (lambda rng: Conv2d(4, 5, 3, rng, groups=2), "out_channels"),
+        (lambda rng: Linear(0, 3, rng), "in_features"),
+        (lambda rng: Linear(3, 0, rng), "out_features"),
+    ],
+    ids=["conv-kernel-0", "conv-kernel-negative", "conv-in-0", "conv-in-groups", "conv-out-groups", "linear-in-0", "linear-out-0"],
+)
+def test_constructor_names_a_bad_size(make, name):
+    with pytest.raises(ValueError, match=name):
+        make(np.random.default_rng(0))

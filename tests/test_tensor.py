@@ -412,6 +412,17 @@ class TestSoftmaxAndFriends:
         assert y[0] == 0.0 and y[-1] == 1.0
         np.testing.assert_allclose(y[1:4], 1.0 / (1.0 + np.exp(-np.array([-1.0, 0.0, 1.0]))), rtol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_the_branch_formula(self, dtype):
+        """The numerator max(e, x >= 0) is bitwise np.where(x >= 0, 1, e)."""
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 88.0, -88.0, 104.0, -104.0, 200.0, -200.0]
+        x = np.concatenate([edges, 30.0 * np.random.default_rng(72).standard_normal(1000)]).astype(dtype)
+        e = np.exp(-np.abs(x))
+        expected = np.where(x >= 0, 1.0, e) / (1.0 + e)
+        y = T.sigmoid(Tensor(x)).data
+        assert y.dtype == expected.dtype == dtype
+        assert np.array_equal(y, expected, equal_nan=True)
+
     def test_l2_normalize_triangle(self):
         y = T.l2_normalize(Tensor(np.array([3.0, 4.0])), axis=0)
         np.testing.assert_allclose(y.data, [0.6, 0.8], atol=1e-7)
@@ -1092,15 +1103,16 @@ class TestThreadSplit:
         return count
 
     @staticmethod
-    def inline_and_split(monkeypatch, splits, parts, run):
-        """`run()` with one part, then in `parts` parts of any size."""
+    def inline_and_split(monkeypatch, splits, parts, run, expect_split=True):
+        """`run()` with one part, then in `parts` parts of any size; the
+        second run takes the split path exactly when `expect_split` says so."""
         monkeypatch.setattr(T, "_PARTS", 1)
         inline = run()
         monkeypatch.setattr(T, "_PARTS", parts)
         monkeypatch.setattr(T, "_PART_BYTES", 1)
         splits[0] = 0
         split = run()
-        assert splits[0] > 0, "the case must take the split path"
+        assert (splits[0] > 0) == expect_split, f"the case must {'take the split path' if expect_split else 'run in one part'}"
         assert len(inline) == len(split)
         for a, b in zip(inline, split):
             assert a.dtype == b.dtype and a.shape == b.shape
@@ -1112,7 +1124,8 @@ class TestThreadSplit:
         ts = [Tensor(a, requires_grad=True) for a in arrays]
         y = op(*ts)
         r = np.random.default_rng(seed).standard_normal(y.shape).astype(y.dtype)
-        (y * Tensor(r)).sum().backward()
+        # <y, r> as one matrix product, which never splits: a split counted is the op's own
+        T.matmul(y.reshape(1, -1), Tensor(r.reshape(-1, 1))).sum().backward()
         return [y.data] + [t.grad for t in ts]
 
     @pytest.mark.parametrize("parts", [2, 3])
@@ -1127,7 +1140,8 @@ class TestThreadSplit:
         assert oh > rows and oh % rows
         TestConv2d.rows_per_block(monkeypatch, x, 3, ow, rows)
         op = lambda x, w: T.conv2d(x, w, stride=stride, padding=1, groups=groups)
-        self.inline_and_split(monkeypatch, splits, parts, lambda: self.outputs_and_grads(op, [x, w]))
+        # conv2d splits per image: one image runs in one part
+        self.inline_and_split(monkeypatch, splits, parts, lambda: self.outputs_and_grads(op, [x, w]), expect_split=batch > 1)
 
     @pytest.mark.parametrize("parts", [2, 3])
     @pytest.mark.parametrize(
@@ -1179,23 +1193,36 @@ class TestThreadSplit:
         self.inline_and_split(monkeypatch, splits, parts, run)
 
     @pytest.mark.parametrize("parts", [2, 3])
-    @pytest.mark.parametrize("shape", [(7, 3, 4), (1, 1, 9, 5), ()])
-    def test_relu(self, monkeypatch, splits, parts, shape):
-        x = np.random.default_rng(66).standard_normal(shape).astype(np.float32)
-        if shape:
-            x.flat[::3] = 0.0  # the gradient at zero
-            self.inline_and_split(monkeypatch, splits, parts, lambda: self.outputs_and_grads(T.relu, [x]))
-        else:  # one element: one part, the same code
-            monkeypatch.setattr(T, "_PARTS", parts)
-            monkeypatch.setattr(T, "_PART_BYTES", 1)
-            np.testing.assert_array_equal(T.relu(Tensor(x)).data, np.maximum(x, 0))
-
-    @pytest.mark.parametrize("parts", [2, 3])
-    @pytest.mark.parametrize("a,b", [((7, 3, 4), (7, 3, 4)), ((7, 1, 4), (3, 1)), ((1, 9, 5), (5,)), ((4,), ())])
+    @pytest.mark.parametrize("a,b", [((7, 3, 4), (7, 3, 4)), ((), (7, 3, 4)), ((1, 9, 5), (1, 9, 5)), ((4,), ())])
     def test_mul(self, monkeypatch, splits, parts, a, b):
         rng = np.random.default_rng(67)
         arrays = [rng.standard_normal(a).astype(np.float32), rng.standard_normal(b).astype(np.float32)]
         self.inline_and_split(monkeypatch, splits, parts, lambda: self.outputs_and_grads(T.mul, arrays))
+
+    def test_relu_and_broadcast_mul_never_split(self, monkeypatch):
+        """relu, and a product of two arrays of different shapes, neither
+        0-d, run as one numpy call however large, forward and backward."""
+
+        def no_split(*args, **kwargs):
+            raise AssertionError("_split called")
+
+        monkeypatch.setattr(T, "_PARTS", 2)
+        monkeypatch.setattr(T, "_split", no_split)
+        rng = np.random.default_rng(71)
+        x = rng.standard_normal((1024, 2048), dtype=np.float32)  # 8 MB
+        x[:, ::3] = 0.0  # the gradient at zero
+        w = rng.standard_normal(2048, dtype=np.float32)
+        assert T._may_split(x.nbytes)
+        a = Tensor(x, requires_grad=True)
+        y = T.relu(a)
+        y.sum().backward()
+        assert np.array_equal(y.data, np.maximum(x, 0))
+        assert np.array_equal(a.grad, (x > 0).astype(np.float32))
+        a = Tensor(x, requires_grad=True)
+        y = a * Tensor(w)  # w takes no gradient: that one is a product of one shape, which splits
+        y.sum().backward()
+        assert np.array_equal(y.data, x * w)
+        assert np.array_equal(a.grad, np.broadcast_to(w, x.shape))
 
     def test_a_part_no_helper_started_runs_on_the_calling_thread(self, monkeypatch, splits):
         """A pool whose threads never start a part and whose queue keeps what
@@ -1349,10 +1376,10 @@ class TestThreadSplit:
             "from semidense import tensor as T\n"
             "T._PARTS, T._PART_BYTES = 2, 1\n"
             "x = T.Tensor(np.arange(-8, 8, dtype=np.float32).reshape(4, 4))\n"
-            "T.relu(x)\n"  # the parent's pool starts its thread
+            "x * x\n"  # the parent's pool starts its thread
             "pid = os.fork()\n"
             "if pid == 0:\n"
-            "    ok = np.array_equal(T.relu(x).data, np.maximum(x.data, 0))\n"
+            "    ok = np.array_equal((x * x).data, x.data * x.data)\n"
             "    os._exit(0 if ok and threading.active_count() == 2 else 1)\n"  # the child's own helper
             "print(os.waitpid(pid, 0)[1])\n",
         )
@@ -1364,8 +1391,8 @@ class TestThreadSplit:
             "from semidense import tensor as T\n"
             "T._PARTS, T._PART_BYTES = 2, 1\n"
             "x = T.Tensor(np.arange(-8, 8, dtype=np.float32).reshape(4, 4))\n"
-            "T.relu(x)\n"
-            "atexit.register(lambda: print(np.array_equal(T.relu(x).data, np.maximum(x.data, 0))))\n",
+            "x * x\n"
+            "atexit.register(lambda: print(np.array_equal((x * x).data, x.data * x.data)))\n",
         )
         assert out == ["True"]
 
@@ -1375,7 +1402,8 @@ class TestThreadSplit:
             "import threading, numpy as np\n"
             "from semidense import tensor as T\n"
             "T._PARTS, T._PART_BYTES = 2, 1\n"
-            "T.relu(T.Tensor(np.ones((4, 4), np.float32)))\n"
+            "x = T.Tensor(np.ones((4, 4), np.float32))\n"
+            "x * x\n"
             "print(threading.active_count())\n",
         )
         assert out == ["2"]  # the caller and one helper
