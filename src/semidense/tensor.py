@@ -73,8 +73,8 @@ thread runs a part; the tests check this bit for bit.  The ops that
 split: conv2d per image (see `conv2d`), matmul and linear over batch axes
 (`_matmul`), softmax over rows or blocks (see `softmax`), batchnorm2d over
 channels, and mul of two arrays of one shape or by a scalar over the
-leading axis (`_product`).  relu is one pass, which measured no faster
-in parts, so it runs as one numpy call.  With a count of one or
+leading axis (`_product`).  relu runs as one numpy call: splitting it
+made no workload faster.  With a count of one or
 without OpenBLAS no op splits and no thread starts.  OpenBLAS's thread
 count and workers are process-wide, and a split changes them under any
 other thread: engine ops must not run beside other BLAS work, engine ops
