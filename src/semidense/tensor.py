@@ -7,10 +7,10 @@ Ops are pure functions over immutable inputs; every reduction runs in a
 fixed order, so equal seeds give bitwise equal results for a given
 OpenBLAS thread count (another count may cut a matrix product differently
 and change the last bit of some of its sums).  Convolution has one
-code path, an im2col-GEMM whose single patch layout serves forward and
-backward (see `conv2d`).  The layout folds the batch into the GEMM columns,
-so backward runs one weight-gradient GEMM per block, not a weight-sized
-product per image.  Patches are filled one block of output rows at a time
+code path, an im2col-GEMM (see `conv2d`).  Forward gives each image its own
+patch region; backward folds the batch into the GEMM columns, so it runs
+one weight-gradient GEMM per block, not a weight-sized product per image.
+Patches are filled one block of output rows at a time
 into a buffer of a few MB, so they stay in cache for the GEMMs that read
 them; backward re-extracts them from the input instead of keeping the kh*kw
 times larger patch matrix on the tape.  `softmax` is blocked the same way:
@@ -70,11 +70,12 @@ splits on an axis whose slices are independent, and every output element
 then sees the same numpy calls on the same values in the same order as
 with one part, so the results depend neither on the count nor on which
 thread runs a part; the tests check this bit for bit.  The ops that
-split: conv2d per image (see `conv2d`), matmul and linear over batch axes
-(`_matmul`), softmax over rows or blocks (see `softmax`), batchnorm2d over
-channels, and mul of two arrays of one shape or by a scalar over the
-leading axis (`_product`).  relu runs as one numpy call: splitting it
-made no workload faster.  With a count of one or
+split: conv2d per image, its forward in one split over every patch block,
+since each image fills its own region of the patch buffer (see `conv2d`),
+matmul and linear over batch axes (`_matmul`), softmax over rows or blocks
+(see `softmax`), batchnorm2d over channels, and mul of two arrays of one
+shape or by a scalar over the leading axis (`_product`).  relu runs as one
+numpy call: splitting it made no workload faster.  With a count of one or
 without OpenBLAS no op splits and no thread starts.  OpenBLAS's thread
 count and workers are process-wide, and a split changes them under any
 other thread: engine ops must not run beside other BLAS work, engine ops
@@ -90,7 +91,6 @@ import math
 import os
 import threading
 from contextlib import contextmanager
-from functools import partial
 
 import numpy as np
 
@@ -908,7 +908,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     part and 68 in two.)  Backward splits on `pre`.
     """
     data = x.data
-    ax = range(data.ndim)[axis]  # a negative axis counts from the end; out of range raises
+    if not -data.ndim <= axis < data.ndim:
+        raise IndexError(f"softmax: axis {axis} is out of range for an input of ndim {data.ndim}")
+    ax = axis % data.ndim  # a negative axis counts from the end
     pre, n, post = math.prod(data.shape[:ax]), data.shape[ax], math.prod(data.shape[ax + 1 :])
     x3 = data.reshape(pre, n, post)
     out_data = np.empty(data.shape, data.dtype)
@@ -1035,23 +1037,22 @@ _CONV_BLOCK_BYTES = 8 << 20
 
 
 def _im2col(xp, cols, stride, r0):
-    """Fill `cols`, (C, kh, kw, N, rows, OW), with the patches of padded NCHW
-    `xp` for output rows r0...  In row-major order that is already the grouped
-    GEMM layout (G, Cg*kh*kw, N*rows*OW), with the batch in the columns."""
-    kh, kw, _, rows, ow = cols.shape[1:]
+    """Fill `cols`, (N, C, kh, kw, rows, OW), with the patches of padded NCHW
+    `xp` for output rows r0..."""
+    kh, kw, rows, ow = cols.shape[2:]
     for i in range(kh):
         for j in range(kw):
             taps = slice(i + stride * r0, i + stride * (r0 + rows), stride)
-            cols[:, i, j] = xp[:, :, taps, j : j + stride * ow : stride].transpose(1, 0, 2, 3)
+            cols[:, :, i, j] = xp[:, :, taps, j : j + stride * ow : stride]
 
 
 def _col2im(gxp, gcols, stride, r0):
     """Add patch gradients laid out as in `_im2col` into padded NCHW `gxp`."""
-    kh, kw, _, rows, ow = gcols.shape[1:]
+    kh, kw, rows, ow = gcols.shape[2:]
     for i in range(kh):
         for j in range(kw):
             taps = slice(i + stride * r0, i + stride * (r0 + rows), stride)
-            gxp[:, :, taps, j : j + stride * ow : stride] += gcols[:, i, j].transpose(1, 0, 2, 3)
+            gxp[:, :, taps, j : j + stride * ow : stride] += gcols[:, :, i, j]
 
 
 def conv2d(
@@ -1065,35 +1066,39 @@ def conv2d(
 
     One im2col-GEMM path serves dense, strided, grouped and depthwise
     (groups == in-channels) convolution: groups are a batch dim of `matmul`
-    over the patch layout of `_im2col`, whose GEMM columns hold every image.
-    There is no bias: every conv of the matcher feeds a batch norm, which
-    subtracts any per-channel constant added before it.
+    over the patches, which `_im2col` writes through an image-first view,
+    (N, C, kh, kw, rows, OW).  There is no bias: every conv of the matcher
+    feeds a batch norm, which subtracts any per-channel constant added
+    before it.
 
-    Patches are extracted one block of output rows at a time, across all
-    images, into one buffer of at most `_CONV_BLOCK_BYTES` (at least one
-    row).  The whole patch matrix is kh*kw times the input: at 512 px it
-    would be up to 151 MB, streamed through memory twice per call; a block
-    stays in cache between its fill and its GEMMs.  Forward splits each
-    block per image (`_split`): a part fills its images' columns of the
-    block and runs one GEMM per image into the NCHW output, so the buffer is
-    shared, not one per thread.  Backward copies each block's output
-    gradient once into (G, Og, N*rows*OW) and re-extracts the patches,
-    split per image; runs one weight-gradient GEMM that sums the images
-    itself (a product per image would be weight-sized, larger than a deep
-    stage's activations) and one patch-gradient GEMM over the block's
-    columns, each a single BLAS call on OpenBLAS's own threads, as
-    `_matmul` says; then scatters the patch gradient into the input
-    gradient (col2im), split per image.  No split changes the order of any
-    element's sum.  The buffers live for one call; the tape keeps only the
-    input, neither its padded copy nor patches.
+    Patches are extracted one block of output rows at a time into a buffer
+    of at most `_CONV_BLOCK_BYTES` (at least one row per image).  The whole
+    patch matrix is kh*kw times the input: at 512 px it would be up to
+    151 MB, streamed through memory twice per call; a block stays in cache
+    between its fill and its GEMMs.  Forward gives each image a region of
+    the buffer, (C, kh, kw, rows, OW), and splits per image (`_split`): a
+    part fills its images' regions block by block and runs one GEMM per
+    image and block into the NCHW output, so the buffer is shared, not one
+    per thread, and no block waits for another.  Backward lays each block
+    out with the batch in the GEMM columns, (C, kh, kw, N, rows, OW), and
+    the output gradient likewise, (O, N, rows, OW); it copies the block's
+    output gradient and re-extracts its patches, split per image; runs one
+    weight-gradient GEMM that sums the images itself (a product per image
+    would be weight-sized, larger than a deep stage's activations) and one
+    patch-gradient GEMM over the block's columns, each a single BLAS call
+    on OpenBLAS's own threads, as `_matmul` says; then scatters the patch
+    gradient into the input gradient (col2im), split per image.  No split
+    changes the order of any element's sum.  The buffers live for one
+    call; the tape keeps only the input, neither its padded copy nor
+    patches.
     """
     _conv_shape_check(x.data, weight.data, stride, padding, groups)
     n, c, h, wd = x.data.shape
     o, _, kh, kw = weight.data.shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (wd + 2 * padding - kw) // stride + 1
-    w2 = weight.data.reshape(groups, o // groups, -1)
-    rows = min(oh, max(1, _CONV_BLOCK_BYTES // (n * c * kh * kw * ow * x.data.itemsize)))
+    w2 = weight.data.reshape(groups, o // groups, c // groups * kh * kw)
+    rows = min(oh, max(1, _CONV_BLOCK_BYTES // max(1, n * c * kh * kw * ow * x.data.itemsize)))
     blocks = [(r0, min(r0 + rows, oh)) for r0 in range(0, oh, rows)]
     pshape, itemsize = (n, c, h + 2 * padding, wd + 2 * padding), x.data.itemsize
     inner = np.s_[..., padding : padding + h, padding : padding + wd]  # the input inside its zero border
@@ -1106,10 +1111,12 @@ def conv2d(
         xp[inner] = xd
         return xp
 
-    def block(buf, r0, r1):
-        """Rows [r0, r1) in front of `buf`: the `_im2col` view and the GEMM view."""
-        cols = buf[: c * kh * kw * n * (r1 - r0) * ow].reshape(c, kh, kw, n, r1 - r0, ow)
-        return cols, cols.reshape(groups, -1, n * (r1 - r0) * ow)
+    def block(buf, per, r0, r1):
+        """Rows [r0, r1) in front of `buf`, laid out (*per, N, rows, OW): the
+        image-first view (N, *per, rows, OW) and the GEMM view."""
+        span = n * (r1 - r0) * ow
+        cols = buf[: math.prod(per) * span].reshape(*per, n, r1 - r0, ow)
+        return np.moveaxis(cols, len(per), 0), cols.reshape(groups, math.prod(per) // groups, span)
 
     def block_bytes(r0, r1):
         """What a block's parts read and write: patches, output rows and weights."""
@@ -1117,56 +1124,43 @@ def conv2d(
 
     out_data = np.empty((n, o, oh, ow), dtype=np.result_type(x.data, weight.data))
     out4 = out_data.reshape(n, groups, o // groups, oh * ow)  # a block's columns are a view
-    xp, buf = padded(x.data), np.empty(c * kh * kw * n * rows * ow, dtype=x.data.dtype)
+    xp, regions = padded(x.data), np.empty((n, c * kh * kw * rows * ow), dtype=x.data.dtype)
 
-    def forward(spans, s):
-        """Images `s` through the blocks `spans`, one block after another."""
-        for r0, r1 in spans:
-            cols, mat = block(buf, r0, r1)
+    def forward(s):
+        """Images `s`, each through every block in its own region."""
+        for r0, r1 in blocks:
             span = (r1 - r0) * ow
-            _im2col(xp[s], cols[:, :, :, s], stride, r0)
-            for k in range(s.start, s.stop):
-                np.matmul(w2, mat[..., k * span : (k + 1) * span], out=out4[k, ..., r0 * ow : r1 * ow])
+            cols = regions[s, : c * kh * kw * span].reshape(s.stop - s.start, c, kh, kw, r1 - r0, ow)
+            _im2col(xp[s], cols, stride, r0)
+            for patches, out in zip(cols, out4[s, ..., r0 * ow : r1 * ow]):
+                np.matmul(w2, patches.reshape(groups, c // groups * kh * kw, span), out=out)
 
-    # Blocks of one shape put each image's columns at the same place in the
-    # buffer, so the parts may run through all full blocks without waiting
-    # for each other; a shorter last block puts them elsewhere and waits.
-    for spans in (blocks[:-1], blocks[-1:]) if blocks[-1][1] - blocks[-1][0] < rows else (blocks,):
-        if spans:
-            _split(n, block_bytes(*spans[0]), partial(forward, spans))
+    _split(n, block_bytes(*blocks[0]), forward)
     nx, nw = x._node, weight._node
     xd = x.data if nw is not None else None  # read by the weight gradient only
     dtype = x.data.dtype
 
     def bw(g):
-        gy = g.reshape(n, groups, o // groups, oh * ow)
         xp = padded(xd) if nw is not None else None
         gxp = np.zeros(pshape, dtype=dtype) if nx is not None else None
         buf, gybuf = np.empty(c * kh * kw * n * rows * ow, dtype=dtype), np.empty(o * n * rows * ow, dtype=g.dtype)
         gw = None
 
-        def gy_block(r0, r1):
-            return gybuf[: o * n * (r1 - r0) * ow].reshape(groups, o // groups, n, (r1 - r0) * ow)
-
-        def images(r0, r1, s):
-            """Output gradient and, for the weight gradient, patches of images `s`."""
-            gy_block(r0, r1)[:, :, s] = gy[s, ..., r0 * ow : r1 * ow].transpose(1, 2, 0, 3)
+        def images(s):
+            """Output gradient and, for the weight gradient, patches of images `s` in the block."""
+            gys[s] = g[s, :, r0:r1]
             if xp is not None:
-                _im2col(xp[s], block(buf, r0, r1)[0][:, :, :, s], stride, r0)
-
-        def scatter(r0, r1, s):
-            _col2im(gxp[s], block(buf, r0, r1)[0][:, :, :, s], stride, r0)
+                _im2col(xp[s], cols[s], stride, r0)
 
         for r0, r1 in blocks:
-            nbytes, (_, mat) = block_bytes(r0, r1), block(buf, r0, r1)
-            _split(n, nbytes, partial(images, r0, r1))
-            gyb = gy_block(r0, r1).reshape(groups, o // groups, -1)
+            (cols, mat), (gys, gyb) = block(buf, (c, kh, kw), r0, r1), block(gybuf, (o,), r0, r1)
+            _split(n, block_bytes(r0, r1), images)
             if xp is not None:
                 part = np.matmul(gyb, mat.transpose(0, 2, 1))
                 gw = part if gw is None else np.add(gw, part, out=gw)
             if gxp is not None:
                 np.matmul(w2.transpose(0, 2, 1), gyb, out=mat)  # the patch gradient overwrites the patches
-                _split(n, nbytes, partial(scatter, r0, r1))
+                _split(n, block_bytes(r0, r1), lambda s: _col2im(gxp[s], cols[s], stride, r0))
         if gw is not None:
             _accum(nw, gw.reshape(nw.shape))
         if gxp is not None:
@@ -1199,6 +1193,8 @@ def batchnorm2d(
         if v.shape != (c,):
             raise ValueError(f"batchnorm2d: {name} has shape {v.shape}, but the input has {c} channels")
     axes, cnt = (0, 2, 3), n * h * w
+    if training and not cnt:
+        raise ValueError(f"batchnorm2d: training needs values per channel, the input has shape {x.data.shape}")
     xd, gd, bd = x.data, gamma.data, beta.data
     dtype = np.result_type(xd, gd, bd)
 

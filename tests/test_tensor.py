@@ -245,6 +245,36 @@ class TestConv2d:
         ref = np.sum([s[2] for s in solo], axis=0)
         np.testing.assert_allclose(gw, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max())
 
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1)])
+    def test_empty_batch(self, stride, padding):
+        x = Tensor(np.zeros((0, 3, 5, 6), np.float32), requires_grad=True)
+        w = Tensor(np.ones((4, 3, 3, 3), np.float32), requires_grad=True)
+        y = T.conv2d(x, w, stride=stride, padding=padding)
+        oh, ow = (5 + 2 * padding - 3) // stride + 1, (6 + 2 * padding - 3) // stride + 1
+        assert y.shape == (0, 4, oh, ow) and y.dtype == np.float32
+        y.sum().backward()
+        assert x.grad.shape == (0, 3, 5, 6)
+        assert w.grad.shape == (4, 3, 3, 3) and not w.grad.any()
+
+    def test_forward_is_one_split(self, monkeypatch):
+        """The forward runs every block, the partial last one too, in one
+        `_split` call: each image fills its own region of the patch buffer."""
+        calls, real = [], T._split
+
+        def counting(n, nbytes, fn, grain=1):
+            calls.append(n)
+            real(n, nbytes, fn, grain)
+
+        monkeypatch.setattr(T, "_split", counting)
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((3, 4, 11, 7), dtype=np.float32)
+        w = rng.standard_normal((6, 4, 3, 3), dtype=np.float32)
+        self.rows_per_block(monkeypatch, x, 3, 7, 3)  # 11 output rows: blocks of 3, 3, 3 and 2
+        with T.no_grad():
+            y = T.conv2d(Tensor(x), Tensor(w), padding=1)
+        assert calls == [3]
+        np.testing.assert_allclose(y.data, conv2d_loops(x, w), rtol=1e-4, atol=1e-4)
+
     def test_shape_errors(self):
         x = Tensor(np.zeros((1, 3, 4, 4)))
         with pytest.raises(ValueError, match="groups"):
@@ -344,6 +374,15 @@ class TestBatchNorm:
         np.testing.assert_allclose(rm, 0.1 * x.mean(axis=(0, 2, 3)), atol=1e-6)
         np.testing.assert_allclose(rv, 0.9 + 0.1 * x.var(axis=(0, 2, 3)) * n / (n - 1), atol=1e-6)
 
+    @pytest.mark.parametrize("shape", [(0, 2, 3, 3), (2, 2, 0, 3)], ids=["no-images", "no-rows"])
+    def test_training_without_values_raises_and_eval_is_empty(self, shape):
+        rm, rv = np.zeros(2), np.ones(2)
+        args = Tensor(np.zeros(shape)), rm, rv, Tensor(np.ones(2)), Tensor(np.zeros(2))
+        with pytest.raises(ValueError, match="batchnorm2d"):
+            T.batchnorm2d(*args, training=True)
+        assert np.array_equal(rm, np.zeros(2)) and np.array_equal(rv, np.ones(2))
+        assert T.batchnorm2d(*args, training=False).shape == shape
+
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="channels"):
             T.batchnorm2d(
@@ -390,6 +429,10 @@ class TestSoftmaxAndFriends:
 
     def test_empty_input(self):
         assert T.softmax(Tensor(np.zeros((0, 2, 3)))).shape == (0, 2, 3)
+
+    def test_axis_out_of_range_is_named(self):
+        with pytest.raises(IndexError, match="softmax: axis 5 .* ndim 2"):
+            T.softmax(Tensor(np.zeros((2, 3))), axis=5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
     @pytest.mark.parametrize("axis", [0, 1])
