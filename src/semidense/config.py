@@ -92,6 +92,12 @@ class Config:
         need(self.lr > 0, "lr", "must be > 0")
         need(self.batch_size >= 1, "batch_size", "must be >= 1")
         need(self.epochs >= 1, "epochs", "must be >= 1")
+        need(self.grad_clip > 0, "grad_clip", "must be > 0")
+        need(self.pad_matches >= 1, "pad_matches", "must be >= 1")
+        need(0 < self.focal_alpha <= 1, "focal_alpha", "must be in (0, 1]")
+        for name in ("weight_decay", "focal_gamma", "lambda_c", "lambda_f", "warp_rot_deg", "warp_scale",
+                     "warp_trans_px", "warp_persp", "jitter_brightness", "jitter_contrast", "jitter_noise"):
+            need(getattr(self, name) >= 0, name, "must be >= 0")
 
 
 # the field that opens each section, in file order

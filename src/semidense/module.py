@@ -151,6 +151,11 @@ class Conv2d(Module):
 class BatchNorm2d(Module):
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
         super().__init__()
+        _check_sizes("BatchNorm2d", channels=channels)
+        if not 0 <= momentum <= 1:
+            raise ValueError(f"BatchNorm2d: momentum must be in [0, 1], got {momentum!r}")
+        if not eps > 0:
+            raise ValueError(f"BatchNorm2d: eps must be > 0, got {eps!r}")
         self.gamma = Parameter(np.ones(channels, dtype=np.float32))
         self.beta = Parameter(np.zeros(channels, dtype=np.float32))
         self.register_buffer("running_mean", np.zeros(channels, dtype=np.float32))

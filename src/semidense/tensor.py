@@ -13,12 +13,11 @@ one weight-gradient GEMM per block, not a weight-sized product per image.
 Patches are filled one block of output rows at a time
 into a buffer of a few MB, so they stay in cache for the GEMMs that read
 them; backward re-extracts them from the input instead of keeping the kh*kw
-times larger patch matrix on the tape.  `softmax` is blocked the same way:
-it runs its max, subtract, exp, sum and divide passes on one cache-sized
-block (`_SOFTMAX_BLOCK_BYTES`) at a time, whole rows when the last axis is
-reduced and a run of slices along any other axis, because six whole-array
-passes over the 64 MB dual-softmax scores each stream the array from
-memory, while a block stays in cache across them.
+times larger patch matrix on the tape.  `softmax` along any axis but the
+last is blocked the same way: it runs its max, subtract, exp and sum passes
+on one cache-sized run of slices (`_SOFTMAX_BLOCK_BYTES`) at a time,
+because whole-array passes over the 64 MB dual-softmax scores each stream
+the array from memory, while a block stays in cache across them.
 
 Graph state: a tensor is its `data` plus, when it requires grad, a `Node`.
 An op's output node holds the op's backward closure, the nodes of those
@@ -64,23 +63,24 @@ While a split runs, OpenBLAS is at one thread and its worker threads are
 stopped: after each threaded GEMM they spin for about 0.1 s on the other
 cores, where the pool's threads would wait for them, and OpenBLAS starts
 them again on its next threaded GEMM.  Outside splits OpenBLAS keeps its
-count, so a single matrix product (which cannot split, see `_matmul`) and
-every op too small to split run exactly as without the policy.  An op
-splits on an axis whose slices are independent, and every output element
-then sees the same numpy calls on the same values in the same order as
-with one part, so the results depend neither on the count nor on which
-thread runs a part; the tests check this bit for bit.  The ops that
-split: conv2d per image, its forward in one split over every patch block,
-since each image fills its own region of the patch buffer (see `conv2d`),
-matmul and linear over batch axes (`_matmul`), softmax over rows or blocks
-(see `softmax`), batchnorm2d over channels, and mul of two arrays of one
-shape or by a scalar over the leading axis (`_product`).  relu runs as one
-numpy call: splitting it made no workload faster.  With a count of one or
-without OpenBLAS no op splits and no thread starts.  OpenBLAS's thread
-count and workers are process-wide, and a split changes them under any
-other thread: engine ops must not run beside other BLAS work, engine ops
-in another thread included.  (Two threads may call ops that use no BLAS
-at once: the one that finds the pool busy runs its op inline.)
+count, so every op too small to split, and every op that never splits, runs
+exactly as without the policy.  An op splits on an axis whose slices are
+independent, and every output element then sees the same numpy calls on
+the same values in the same order as with one part, so the results depend
+neither on the count nor on which thread runs a part; the tests check this
+bit for bit.  The ops that split: conv2d per image, its forward in one
+split over every patch block, since each image fills its own region of the
+patch buffer (see `conv2d`), softmax over rows or blocks (see `softmax`),
+batchnorm2d over channels, and mul of two arrays of one shape or by a
+scalar over the leading axis (`_product`).  relu, matmul, linear and
+bilinear_upsample2x never split: relu is one numpy call and each matrix
+product one `np.matmul` on OpenBLAS's own threads, since splitting them
+made no workload faster.  With a count of one or without OpenBLAS no op
+splits and no thread starts.  OpenBLAS's thread count and workers are
+process-wide, and a split changes them under any other thread: engine ops
+must not run beside other BLAS work, engine ops in another thread
+included.  (Two threads may call ops that use no BLAS at once: the one
+that finds the pool busy runs its op inline.)
 """
 
 from __future__ import annotations
@@ -806,36 +806,6 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """`np.matmul(x, y)`, split over the first batch axis longer than one.
-
-    numpy multiplies the matrices of the batch axes one BLAS call each, so
-    a split leaves every call as it was.  A single matrix does not split:
-    OpenBLAS picks its kernel by the matrix size, and the kernels round
-    differently, so rows or columns multiplied apart may differ in the last
-    bit from the same rows or columns of the whole product.  It runs as one
-    call, on OpenBLAS's own threads, as does a product too small to split.
-    """
-    if x.ndim < 2 or y.ndim < 2 or x.ndim < 3 and y.ndim < 3:
-        return np.matmul(x, y)
-    xl, yl = x.shape[:-2], y.shape[:-2]
-    lead = xl if xl == yl or not yl else yl if not xl else np.broadcast_shapes(xl, yl)
-    k = next((i for i, d in enumerate(lead) if d > 1), None)
-    size = math.prod(lead) * x.shape[-2] * y.shape[-1]
-    if k is None or not _may_split(x.nbytes + y.nbytes + size * max(x.itemsize, y.itemsize)):
-        return np.matmul(x, y)
-    out = np.empty(lead + (x.shape[-2], y.shape[-1]), np.result_type(x, y))
-    n, ax = lead[k], k - out.ndim
-
-    def take(a, s):  # an operand without the axis, or of length one there, broadcasts whole
-        i = a.ndim + ax
-        return a[(slice(None),) * i + (s,)] if i >= 0 and a.shape[i] == n else a
-
-    _split(n, x.nbytes + y.nbytes + out.nbytes,
-           lambda s: np.matmul(take(x, s), take(y, s), out=out[(slice(None),) * k + (s,)]))
-    return out
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product with numpy broadcasting on leading dims."""
     na, nb = a._node, b._node
@@ -845,11 +815,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if na is not None:
-            _accum(na, _matmul(g, np.swapaxes(bd, -1, -2)))
+            _accum(na, np.matmul(g, np.swapaxes(bd, -1, -2)))
         if nb is not None:
-            _accum(nb, _matmul(np.swapaxes(ad, -1, -2), g))
+            _accum(nb, np.matmul(np.swapaxes(ad, -1, -2), g))
 
-    return _make(_matmul(a.data, b.data), (na, nb), bw)
+    return _make(np.matmul(a.data, b.data), (na, nb), bw)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -859,7 +829,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             f"linear: input last dim {x.data.shape[-1]} != weight in dim {weight.data.shape[1]}"
         )
     wd = weight.data
-    out_data = _matmul(x.data, wd.T)
+    out_data = np.matmul(x.data, wd.T)
     if bias is not None:
         out_data = out_data + bias.data
     nx, nw, nb = x._node, weight._node, None if bias is None else bias._node
@@ -867,7 +837,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     def bw(g):
         if nx is not None:
-            _accum(nx, _matmul(g, wd))
+            _accum(nx, np.matmul(g, wd))
         if nw is not None:
             g2 = g.reshape(-1, g.shape[-1])
             _accum(nw, g2.T @ xd.reshape(-1, xd.shape[-1]))
@@ -877,35 +847,35 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _make(out_data, (nx, nw, nb), bw)
 
 
-# Size cap of one softmax block; a block holds at least one row or slice
-# whatever the cap.  Measured on 4096x4096 float32 (2-core box, 4 MB L2 per
-# core, median of 9): 256 KB to 1 MB blocks take 43-53 ms along either axis,
-# 128 KB and 2 MB up to 58 ms, one 64 MB block 61-64 ms.
+# Size cap of one block of slices when softmax reduces any axis but the
+# last; a block holds at least one slice whatever the cap.  Measured on
+# 4096x4096 float32 along axis 0 (2-core box, 4 MB L2 per core, median of
+# 9): 256 KB to 1 MB blocks take 43-53 ms, 128 KB and 2 MB up to 58 ms, one
+# 64 MB block 61-64 ms.
 _SOFTMAX_BLOCK_BYTES = 512 << 10
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Max-stabilized softmax along one axis; slices along it sum to one.
 
-    The input is viewed as (pre, n, post) with n along `axis` and worked
-    through in blocks of at most `_SOFTMAX_BLOCK_BYTES`, so that the passes
-    over a block find it in cache instead of each streaming the whole array
-    from memory.  With post == 1 (the last axis reduced) a block is whole
-    rows, and max, finite check, subtract, exp, sum and divide all run on
-    it in one sweep; each row sees the same operations as in whole-array
-    passes, so the output is bitwise the same.  Otherwise a block is a run
-    of slices along `axis`: one sweep builds the running max and checks
-    finiteness, a second writes the exponentials and adds up their running
-    sums, and one divide follows.  Those sums add block by block, so they
-    may differ from one whole-axis sum in the last bits.  An array that
-    fits in one block takes the whole-array passes in either case.
-    Backward fills one full-size buffer in place.  The last axis splits
-    (`_split`) on rows; another axis splits each sweep on blocks, which
-    keep their own maxima and sums until the sums add up in block order.
-    The block step comes from the whole array, so the blocks and that order
-    are the same in any part.  (Splitting the trailing columns instead
-    measured no faster: 4096x4096 float32 on the 2-core box, 65 ms in one
-    part and 68 in two.)  Backward splits on `pre`.
+    The input is viewed as (pre, n, post) with n along `axis`.  With
+    post == 1 (the last axis reduced) each row is contiguous: max, finite
+    check, subtract, exp, sum and divide run once over all the rows of a
+    part, and the rows split (`_split`).  Otherwise the slices along `axis`
+    are strided, and the work goes through in blocks of slices of at most
+    `_SOFTMAX_BLOCK_BYTES`, so that the passes over a block find it in
+    cache instead of each streaming the whole array from memory: one sweep
+    builds the running max and checks finiteness, a second writes the
+    exponentials and adds up their running sums, and one divide follows.
+    Those sums add block by block, so they may differ from one whole-axis
+    sum in the last bits; an array that fits in one block takes the
+    whole-array passes.  Each sweep splits on blocks, which keep their own
+    maxima and sums until the sums add up in block order.  The block step
+    comes from the whole array, so the blocks and that order are the same
+    in any part.  (Splitting the trailing columns instead measured no
+    faster: 4096x4096 float32 on the 2-core box, 65 ms in one part and 68
+    in two.)  Backward fills one full-size buffer in place and splits on
+    `pre`.
     """
     data = x.data
     if not -data.ndim <= axis < data.ndim:
@@ -924,18 +894,17 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     if post == 1:
         rows, out_rows = x3[:, :, 0], o3[:, :, 0]
-        step = max(1, _SOFTMAX_BLOCK_BYTES // max(1, n * data.itemsize))
 
         def part(s):
-            for r in range(s.start, s.stop, step):
-                xb, ob = rows[r : min(r + step, s.stop)], out_rows[r : min(r + step, s.stop)]
-                top = xb.max(axis=1, keepdims=True)
-                check(top, xb)
-                np.subtract(xb, top, out=ob)
-                np.exp(ob, out=ob)
-                ob /= ob.sum(axis=1, keepdims=True)
+            xs, ys = rows[s], out_rows[s]
+            top = xs.max(axis=1, keepdims=True)
+            check(top, xs)
+            np.subtract(xs, top, out=ys)
+            np.exp(ys, out=ys)
+            ys /= ys.sum(axis=1, keepdims=True)
 
-        _split(pre, 2 * data.nbytes, part, grain=2)
+        if pre:  # no rows, nothing to reduce, even along an empty axis
+            _split(pre, 2 * data.nbytes, part, grain=2)
     else:
         step = max(1, _SOFTMAX_BLOCK_BYTES // max(1, pre * post * data.itemsize))
         # an empty axis still gets one block, so that its max raises as numpy's does
@@ -1086,7 +1055,7 @@ def conv2d(
     weight-gradient GEMM that sums the images itself (a product per image
     would be weight-sized, larger than a deep stage's activations) and one
     patch-gradient GEMM over the block's columns, each a single BLAS call
-    on OpenBLAS's own threads, as `_matmul` says; then scatters the patch
+    on OpenBLAS's own threads, as `matmul` runs; then scatters the patch
     gradient into the input gradient (col2im), split per image.  No split
     changes the order of any element's sum.  The buffers live for one
     call; the tape keeps only the input, neither its padded copy nor
@@ -1294,6 +1263,6 @@ def bilinear_upsample2x(x: Tensor) -> Tensor:
     nx = x._node
 
     def bw(g):
-        _accum(nx, _matmul(_matmul(uh.T, g), uw))
+        _accum(nx, uh.T @ g @ uw)
 
-    return _make(_matmul(_matmul(uh, x.data), uw.T), (nx,), bw)
+    return _make(uh @ x.data @ uw.T, (nx,), bw)

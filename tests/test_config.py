@@ -157,6 +157,22 @@ def test_config_constructor_ignores_env(monkeypatch):
         ("lr", 0.0),
         ("batch_size", 0),
         ("epochs", 0),
+        ("grad_clip", -1.0),
+        ("grad_clip", 0.0),
+        ("pad_matches", 0),
+        ("weight_decay", -0.01),
+        ("focal_alpha", 0.0),
+        ("focal_alpha", 1.5),
+        ("focal_gamma", -2.0),
+        ("lambda_c", -1.0),
+        ("lambda_f", -0.2),
+        ("warp_rot_deg", -12.0),
+        ("warp_scale", -0.12),
+        ("warp_trans_px", -16.0),
+        ("warp_persp", -3e-5),
+        ("jitter_brightness", -0.06),
+        ("jitter_contrast", -0.1),
+        ("jitter_noise", -0.01),
     ],
 )
 def test_validate_rejects_and_names_field(key, value):

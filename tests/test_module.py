@@ -157,8 +157,19 @@ def test_float64_copy_gets_float64_gradients():
         (lambda rng: Conv2d(4, 5, 3, rng, groups=2), "out_channels"),
         (lambda rng: Linear(0, 3, rng), "in_features"),
         (lambda rng: Linear(3, 0, rng), "out_features"),
+        (lambda rng: BatchNorm2d(0), "channels"),
+        (lambda rng: BatchNorm2d(-1), "channels"),
+        (lambda rng: BatchNorm2d(2.5), "channels"),
+        (lambda rng: BatchNorm2d(4, 1.5), "momentum"),
+        (lambda rng: BatchNorm2d(4, -0.1), "momentum"),
+        (lambda rng: BatchNorm2d(4, 0.1, -1e-5), "eps"),
+        (lambda rng: BatchNorm2d(4, 0.1, 0.0), "eps"),
     ],
-    ids=["conv-kernel-0", "conv-kernel-negative", "conv-in-0", "conv-in-groups", "conv-out-groups", "linear-in-0", "linear-out-0"],
+    ids=[
+        "conv-kernel-0", "conv-kernel-negative", "conv-in-0", "conv-in-groups", "conv-out-groups", "linear-in-0", "linear-out-0",
+        "bn-channels-0", "bn-channels-negative", "bn-channels-float", "bn-momentum-above-1", "bn-momentum-negative",
+        "bn-eps-negative", "bn-eps-0",
+    ],
 )
 def test_constructor_names_a_bad_size(make, name):
     with pytest.raises(ValueError, match=name):

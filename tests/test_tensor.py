@@ -485,9 +485,11 @@ class TestSoftmaxAndFriends:
 
 
 class TestBlockedSoftmax:
-    """softmax with `_SOFTMAX_BLOCK_BYTES` cut to three rows (last axis
-    reduced) or three slices (any other axis), so that every case below runs
-    several blocks and its last block is partial."""
+    """softmax with `_SOFTMAX_BLOCK_BYTES` cut to three slices, so that a
+    case along any axis but the last runs several blocks and its last block
+    is partial.  The cap does not reach the last axis, whose rows run in one
+    pass per part: a row case sets it to three rows' bytes, and its result
+    must hold as with no cap."""
 
     @staticmethod
     def three_per_block(monkeypatch, shape, axis, dtype):
@@ -510,27 +512,18 @@ class TestBlockedSoftmax:
     def test_rejects_non_finite_in_a_later_block(self, monkeypatch, bad, axis):
         self.three_per_block(monkeypatch, (2, 7, 5), axis, np.float64)
         x = np.arange(70.0).reshape(2, 7, 5)
-        x[1, 4, 2] = bad  # row 11 of 14 (block 4 of 5), slice 4 of 7 (block 2 of 3)
+        x[1, 4, 2] = bad  # row 11 of 14, slice 4 of 7 (block 2 of 3)
         with pytest.raises(FloatingPointError, match="non-finite"):
             T.softmax(Tensor(x), axis=axis)
 
     @pytest.mark.parametrize("axis", [0, -1], ids=["slices", "rows"])
     def test_shift_is_the_max_over_every_block(self, monkeypatch, axis):
         x = np.zeros((7, 7), dtype=np.float32)
-        x[4, 4] = 100.0  # block 2 of 3 either way; exp(100) overflows float32
+        x[4, 4] = 100.0  # in row 5 of 7, and in slice block 2 of 3; exp(100) overflows float32
         x[6, 6] = -100.0
         self.three_per_block(monkeypatch, x.shape, axis, np.float32)
         y = T.softmax(Tensor(x), axis=axis).data
         assert y[4, 4] == 1.0 and np.isfinite(y).all()
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape", [(4, 5, 33), (2, 1, 5, 17)])
-    def test_rows_bitwise_equal_to_one_block(self, monkeypatch, dtype, shape):
-        x = Tensor((5.0 * np.random.default_rng(41).normal(size=shape)).astype(dtype))
-        monkeypatch.setattr(T, "_SOFTMAX_BLOCK_BYTES", 1 << 40)
-        whole = T.softmax(x, axis=-1).data
-        self.three_per_block(monkeypatch, shape, -1, dtype)
-        assert np.array_equal(T.softmax(x, axis=-1).data, whole)
 
     @pytest.mark.parametrize("shape,axis", [((50, 6, 5), 0), ((3, 40, 7), 1), ((2, 41, 3, 2), 1)])
     def test_slices_match_float64_reference(self, monkeypatch, shape, axis):
@@ -548,9 +541,9 @@ class TestBlockedSoftmax:
         e = np.exp(x - x.max(axis=axis, keepdims=True))
         assert np.array_equal(T.softmax(Tensor(x), axis=axis).data, e / e.sum(axis=axis, keepdims=True))
 
-    @pytest.mark.parametrize("shape,axis", [((0, 2, 3), -1), ((0, 2, 3), 1), ((2, 0, 3), 0), ((2, 3, 0), 0)])
+    @pytest.mark.parametrize("shape,axis", [((0, 2, 3), -1), ((0, 2, 3), 1), ((2, 0, 3), 0), ((2, 3, 0), 0), ((3, 0, 0), -1)])
     def test_empty_input(self, monkeypatch, shape, axis):
-        monkeypatch.setattr(T, "_SOFTMAX_BLOCK_BYTES", 1)  # below one row or slice: one per block
+        monkeypatch.setattr(T, "_SOFTMAX_BLOCK_BYTES", 1)  # below one slice: one per block
         assert T.softmax(Tensor(np.zeros(shape)), axis=axis).shape == shape
 
     @pytest.mark.parametrize("axis", [0, -1])
@@ -1187,36 +1180,11 @@ class TestThreadSplit:
         self.inline_and_split(monkeypatch, splits, parts, lambda: self.outputs_and_grads(op, [x, w]), expect_split=batch > 1)
 
     @pytest.mark.parametrize("parts", [2, 3])
-    @pytest.mark.parametrize(
-        "a,b", [((2, 1, 7, 4), (3, 4, 5)), ((1, 3, 7, 4), (3, 4, 5)), ((7, 4), (3, 4, 5))],
-        ids=["broadcast-batch", "leading-one", "matrix-times-batch"],
-    )
-    def test_broadcast_matmul(self, monkeypatch, splits, parts, a, b):
-        rng = np.random.default_rng(62)
-        arrays = [rng.standard_normal(a, dtype=np.float32), rng.standard_normal(b, dtype=np.float32)]
-        self.inline_and_split(monkeypatch, splits, parts, lambda: self.outputs_and_grads(T.matmul, arrays))
-
-    def test_single_matrix_is_one_blas_call(self, monkeypatch, splits):
-        """Rows of a product may round differently from the whole, so a single matrix never splits."""
-        monkeypatch.setattr(T, "_PARTS", 2)
-        monkeypatch.setattr(T, "_PART_BYTES", 1)
-        rng = np.random.default_rng(68)
-        x, w = rng.standard_normal((9, 4), dtype=np.float32), rng.standard_normal((4, 8), dtype=np.float32)
-        assert np.array_equal(T.matmul(Tensor(x), Tensor(w)).data, np.matmul(x, w))
-        assert splits[0] == 0
-
-    @pytest.mark.parametrize("parts", [2, 3])
-    def test_linear_3d(self, monkeypatch, splits, parts):
-        rng = np.random.default_rng(63)
-        arrays = [rng.standard_normal(s, dtype=np.float32) for s in ((2, 7, 5), (6, 5), (6,))]
-        self.inline_and_split(monkeypatch, splits, parts, lambda: self.outputs_and_grads(T.linear, arrays))
-
-    @pytest.mark.parametrize("parts", [2, 3])
     @pytest.mark.parametrize("axis", [-1, 1])
     @pytest.mark.parametrize("block", [None, 3], ids=["one-block", "blocks"])
     def test_softmax(self, monkeypatch, splits, parts, axis, block):
         x = 4.0 * np.random.default_rng(64).standard_normal((7, 5, 4), dtype=np.float32)
-        if block:  # three rows or three slices per block
+        if block:  # three slices per block; rows take no blocks
             monkeypatch.setattr(T, "_SOFTMAX_BLOCK_BYTES", block * (4 if axis == -1 else 4 * 7) * x.itemsize)
         op = lambda x: T.softmax(x, axis=axis)
         self.inline_and_split(monkeypatch, splits, parts, lambda: self.outputs_and_grads(op, [x]))
@@ -1243,8 +1211,10 @@ class TestThreadSplit:
         self.inline_and_split(monkeypatch, splits, parts, lambda: self.outputs_and_grads(T.mul, arrays))
 
     def test_relu_and_broadcast_mul_never_split(self, monkeypatch):
-        """relu, and a product of two arrays of different shapes, neither
-        0-d, run as one numpy call however large, forward and backward."""
+        """relu, a product of two arrays of different shapes, neither 0-d,
+        and every matrix product (a broadcast-batch matmul, a 3-D linear,
+        bilinear_upsample2x) run as plain numpy calls however large, forward
+        and backward."""
 
         def no_split(*args, **kwargs):
             raise AssertionError("_split called")
@@ -1266,6 +1236,17 @@ class TestThreadSplit:
         y.sum().backward()
         assert np.array_equal(y.data, x * w)
         assert np.array_equal(a.grad, np.broadcast_to(w, x.shape))
+        monkeypatch.setattr(T, "_PART_BYTES", 1)  # any product with a batch axis would split
+        up = T._up2_matrix
+        for op, shapes, ref in (
+            (T.matmul, [(2, 1, 7, 4), (3, 4, 5)], np.matmul),
+            (T.linear, [(2, 7, 5), (6, 5), (6,)], lambda x, w, b: np.matmul(x, w.T) + b),
+            (T.bilinear_upsample2x, [(2, 3, 4, 5)], lambda x: up(4, x.dtype) @ x @ up(5, x.dtype).T),
+        ):
+            arrays = [rng.standard_normal(s, dtype=np.float32) for s in shapes]
+            y, *grads = self.outputs_and_grads(op, arrays)
+            assert np.array_equal(y, ref(*arrays))
+            assert all(g.shape == a.shape and np.isfinite(g).all() for g, a in zip(grads, arrays))
 
     def test_a_part_no_helper_started_runs_on_the_calling_thread(self, monkeypatch, splits):
         """A pool whose threads never start a part and whose queue keeps what
@@ -1327,7 +1308,7 @@ class TestThreadSplit:
     def test_non_finite_in_the_second_part_raises_and_helpers_go_on(self, monkeypatch, axis):
         monkeypatch.setattr(T, "_PARTS", 2)
         monkeypatch.setattr(T, "_PART_BYTES", 1)
-        monkeypatch.setattr(T, "_SOFTMAX_BLOCK_BYTES", 1)  # a row or a slice per block
+        monkeypatch.setattr(T, "_SOFTMAX_BLOCK_BYTES", 1)  # a slice per block; rows take no blocks
         x = np.arange(60, dtype=np.float32).reshape(6, 10) / 60
         bad = x.copy()
         bad[4, 7] = np.nan  # row or slice 4 of 6, in the helper's part
