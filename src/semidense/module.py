@@ -128,24 +128,17 @@ class Conv2d(Module):
         rng: np.random.Generator,
         stride: int = 1,
         padding: int = 0,
-        groups: int = 1,
     ):
         super().__init__()
-        T._conv_args_check(stride, padding, groups)
+        T._conv_args_check(stride, padding)
         _check_sizes("Conv2d", in_channels=in_channels, out_channels=out_channels, kernel_size=kernel_size)
-        for name, v in (("in_channels", in_channels), ("out_channels", out_channels)):
-            if v % groups:
-                raise ValueError(f"Conv2d: {name}={v} is not divisible by groups={groups}")
-        fan_in = (in_channels // groups) * kernel_size * kernel_size
-        self.weight = Parameter(
-            kaiming_normal(rng, (out_channels, in_channels // groups, kernel_size, kernel_size), fan_in)
-        )
+        fan_in = in_channels * kernel_size * kernel_size
+        self.weight = Parameter(kaiming_normal(rng, (out_channels, in_channels, kernel_size, kernel_size), fan_in))
         self.stride = stride
         self.padding = padding
-        self.groups = groups
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.weight, stride=self.stride, padding=self.padding, groups=self.groups)
+        return T.conv2d(x, self.weight, stride=self.stride, padding=self.padding)
 
 
 class BatchNorm2d(Module):

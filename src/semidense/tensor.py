@@ -520,15 +520,18 @@ def _accum(node: Node | None, g):
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+    """`g` summed over the axes broadcasting added to `shape`; any other mismatch is a fault."""
     if g.shape == shape:
         return g
-    extra = g.ndim - len(shape)
+    given, extra = g.shape, g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    axes = tuple(i for i, (s, k) in enumerate(zip(shape, g.shape)) if s == 1 and k != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+    if g.shape != shape:
+        raise RuntimeError(f"backward: a gradient of shape {given} does not sum to its node's shape {shape}")
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -747,8 +750,8 @@ def reshape(a: Tensor, shape) -> Tensor:
 def transpose(a: Tensor, axes=None) -> Tensor:
     na = a._node
 
-    def bw(g):
-        _accum(na, g.transpose(None if axes is None else np.argsort(axes)))
+    def bw(g):  # axes of mixed sign sort into the inverse only once counted from the front
+        _accum(na, g.transpose(None if axes is None else np.argsort([ax % g.ndim for ax in axes])))
 
     return _make(a.data.transpose(axes), (na,), bw)
 
@@ -808,6 +811,8 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product with numpy broadcasting on leading dims."""
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ValueError(f"matmul needs operands of at least 2 dims, got shapes {a.shape} and {b.shape}")
     na, nb = a._node, b._node
     # each side's gradient reads the other side's data
     ad = a.data if nb is not None else None
@@ -930,9 +935,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         _split(len(blocks), data.nbytes, maxima)
         top = tops.max(axis=0)  # a max is exact in any order
         _split(len(blocks), 2 * data.nbytes, exponentials)
-        total = sums[0].copy()
-        for i in range(1, len(blocks)):
-            np.add(total, sums[i], out=total)
+        total = sums.sum(axis=0)  # post > 1, so numpy adds the blocks one by one, in block order
         _split(n, 2 * data.nbytes, lambda s: np.divide(o3[:, s], total, out=o3[:, s]))
     nx = x._node
 
@@ -976,23 +979,21 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-8) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _conv_args_check(stride, padding, groups):
+def _conv_args_check(stride, padding):
     """Raise ValueError naming the first of conv2d's int arguments out of range."""
-    for name, v, least in (("stride", stride, 1), ("padding", padding, 0), ("groups", groups, 1)):
+    for name, v, least in (("stride", stride, 1), ("padding", padding, 0)):
         if not isinstance(v, (int, np.integer)) or v < least:
             raise ValueError(f"conv2d: {name} must be an int >= {least}, got {v!r}")
 
 
-def _conv_shape_check(x, w, stride, padding, groups):
-    _conv_args_check(stride, padding, groups)
+def _conv_shape_check(x, w, stride, padding):
+    _conv_args_check(stride, padding)
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"conv2d expects NCHW input and OIHW weight, got {x.shape} and {w.shape}")
-    n, c, h, wd = x.shape
-    o, ig, kh, kw = w.shape
-    if c % groups or o % groups:
-        raise ValueError(f"conv2d: channels in={c} out={o} not divisible by groups={groups}")
-    if ig != c // groups:
-        raise ValueError(f"conv2d: weight expects {ig} input channels per group, input has {c // groups}")
+    c, h, wd = x.shape[1:]
+    ic, kh, kw = w.shape[1:]
+    if ic != c:
+        raise ValueError(f"conv2d: weight expects {ic} input channels, input has {c}")
     if h + 2 * padding < kh or wd + 2 * padding < kw:
         raise ValueError(
             f"conv2d: padded spatial dims ({h + 2 * padding}, {wd + 2 * padding}) smaller than kernel ({kh}, {kw})"
@@ -1029,16 +1030,14 @@ def conv2d(
     weight: Tensor,
     stride: int = 1,
     padding: int = 0,
-    groups: int = 1,
 ) -> Tensor:
     """2-D cross-correlation over NCHW input with OIHW weights.
 
-    One im2col-GEMM path serves dense, strided, grouped and depthwise
-    (groups == in-channels) convolution: groups are a batch dim of `matmul`
-    over the patches, which `_im2col` writes through an image-first view,
-    (N, C, kh, kw, rows, OW).  There is no bias: every conv of the matcher
-    feeds a batch norm, which subtracts any per-channel constant added
-    before it.
+    One im2col-GEMM path serves every stride and padding, each GEMM a 2-D
+    product of the (O, C*kh*kw) weights and the patches, which `_im2col`
+    writes through an image-first view, (N, C, kh, kw, rows, OW).  There is
+    no bias: every conv of the matcher feeds a batch norm, which subtracts
+    any per-channel constant added before it.
 
     Patches are extracted one block of output rows at a time into a buffer
     of at most `_CONV_BLOCK_BYTES` (at least one row per image).  The whole
@@ -1061,12 +1060,12 @@ def conv2d(
     call; the tape keeps only the input, neither its padded copy nor
     patches.
     """
-    _conv_shape_check(x.data, weight.data, stride, padding, groups)
+    _conv_shape_check(x.data, weight.data, stride, padding)
     n, c, h, wd = x.data.shape
     o, _, kh, kw = weight.data.shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (wd + 2 * padding - kw) // stride + 1
-    w2 = weight.data.reshape(groups, o // groups, c // groups * kh * kw)
+    w2 = weight.data.reshape(o, c * kh * kw)
     rows = min(oh, max(1, _CONV_BLOCK_BYTES // max(1, n * c * kh * kw * ow * x.data.itemsize)))
     blocks = [(r0, min(r0 + rows, oh)) for r0 in range(0, oh, rows)]
     pshape, itemsize = (n, c, h + 2 * padding, wd + 2 * padding), x.data.itemsize
@@ -1085,14 +1084,14 @@ def conv2d(
         image-first view (N, *per, rows, OW) and the GEMM view."""
         span = n * (r1 - r0) * ow
         cols = buf[: math.prod(per) * span].reshape(*per, n, r1 - r0, ow)
-        return np.moveaxis(cols, len(per), 0), cols.reshape(groups, math.prod(per) // groups, span)
+        return np.moveaxis(cols, len(per), 0), cols.reshape(math.prod(per), span)
 
     def block_bytes(r0, r1):
         """What a block's parts read and write: patches, output rows and weights."""
         return (c * kh * kw + o) * n * (r1 - r0) * ow * itemsize + w2.nbytes
 
     out_data = np.empty((n, o, oh, ow), dtype=np.result_type(x.data, weight.data))
-    out4 = out_data.reshape(n, groups, o // groups, oh * ow)  # a block's columns are a view
+    out3 = out_data.reshape(n, o, oh * ow)  # a block's columns are a view
     xp, regions = padded(x.data), np.empty((n, c * kh * kw * rows * ow), dtype=x.data.dtype)
 
     def forward(s):
@@ -1101,8 +1100,8 @@ def conv2d(
             span = (r1 - r0) * ow
             cols = regions[s, : c * kh * kw * span].reshape(s.stop - s.start, c, kh, kw, r1 - r0, ow)
             _im2col(xp[s], cols, stride, r0)
-            for patches, out in zip(cols, out4[s, ..., r0 * ow : r1 * ow]):
-                np.matmul(w2, patches.reshape(groups, c // groups * kh * kw, span), out=out)
+            for patches, out in zip(cols, out3[s, :, r0 * ow : r1 * ow]):
+                np.matmul(w2, patches.reshape(c * kh * kw, span), out=out)
 
     _split(n, block_bytes(*blocks[0]), forward)
     nx, nw = x._node, weight._node
@@ -1125,10 +1124,10 @@ def conv2d(
             (cols, mat), (gys, gyb) = block(buf, (c, kh, kw), r0, r1), block(gybuf, (o,), r0, r1)
             _split(n, block_bytes(r0, r1), images)
             if xp is not None:
-                part = np.matmul(gyb, mat.transpose(0, 2, 1))
+                part = gyb @ mat.T
                 gw = part if gw is None else np.add(gw, part, out=gw)
             if gxp is not None:
-                np.matmul(w2.transpose(0, 2, 1), gyb, out=mat)  # the patch gradient overwrites the patches
+                np.matmul(w2.T, gyb, out=mat)  # the patch gradient overwrites the patches
                 _split(n, block_bytes(r0, r1), lambda s: _col2im(gxp[s], cols[s], stride, r0))
         if gw is not None:
             _accum(nw, gw.reshape(nw.shape))

@@ -153,8 +153,6 @@ def test_float64_copy_gets_float64_gradients():
         (lambda rng: Conv2d(4, 4, 0, rng), "kernel_size"),
         (lambda rng: Conv2d(4, 4, -1, rng), "kernel_size"),
         (lambda rng: Conv2d(0, 4, 3, rng), "in_channels"),
-        (lambda rng: Conv2d(5, 4, 3, rng, groups=2), "in_channels"),
-        (lambda rng: Conv2d(4, 5, 3, rng, groups=2), "out_channels"),
         (lambda rng: Linear(0, 3, rng), "in_features"),
         (lambda rng: Linear(3, 0, rng), "out_features"),
         (lambda rng: BatchNorm2d(0), "channels"),
@@ -166,7 +164,7 @@ def test_float64_copy_gets_float64_gradients():
         (lambda rng: BatchNorm2d(4, 0.1, 0.0), "eps"),
     ],
     ids=[
-        "conv-kernel-0", "conv-kernel-negative", "conv-in-0", "conv-in-groups", "conv-out-groups", "linear-in-0", "linear-out-0",
+        "conv-kernel-0", "conv-kernel-negative", "conv-in-0", "linear-in-0", "linear-out-0",
         "bn-channels-0", "bn-channels-negative", "bn-channels-float", "bn-momentum-above-1", "bn-momentum-negative",
         "bn-eps-negative", "bn-eps-0",
     ],
