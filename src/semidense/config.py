@@ -1,19 +1,15 @@
 """Run configuration: model widths, matching thresholds, training schedule.
 
-A config file holds ``key = value`` lines under ``[section]`` headers.  A
-field's section is that of the nearest field at or above it that opens one
-(``_SECTION_STARTS``); an unknown header, or a key under another section's
-header, is an error.  ``load_config`` layers defaults < file <
-``SEMIDENSE_SEED`` < overrides, and ``Config()`` reads no environment.  Every
-value goes through ``_parse``, whose errors name the key and its source.  The
-dict round trip is ``load_config(overrides=dataclasses.asdict(cfg))``.
+``Config(...)``, ``dataclasses.replace`` and ``load_config`` share one check
+path.  ``__post_init__`` checks each field's type: an int field rejects a
+float or a bool, a float field stores an int as a float and rejects nan, inf
+and an int too large for a float, and a list field holds ints.  ``validate``
+then checks each field's range.  Every error names the field.  The dict
+round trip is ``Config(**dataclasses.asdict(cfg))``.
 """
-
-from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass, field
 
 
@@ -69,6 +65,9 @@ class Config:
     jitter_noise: float = 0.01
 
     def __post_init__(self):
+        # f.type is the annotation's class, as this module does not postpone annotations
+        for f in dataclasses.fields(self):
+            setattr(self, f.name, _checked(f.name, f.type, getattr(self, f.name)))
         self.validate()
 
     def validate(self):
@@ -79,6 +78,7 @@ class Config:
                 raise ValueError(f"config {name} = {getattr(self, name)!r}: {rule}")
 
         need(len(self.channels) == 5, "channels", "the channel plan needs 5 entries")
+        need(min(self.channels) >= 1, "channels", "each entry must be >= 1")
         need(self.image_size > 0 and self.image_size % 32 == 0, "image_size", "must be a positive multiple of 32")
         need(self.heads > 0 and self.channels[4] % self.heads == 0, "heads", "must divide the model width channels[4]")
         need(self.num_layers >= 0, "num_layers", "must be >= 0")
@@ -95,79 +95,30 @@ class Config:
         need(self.grad_clip > 0, "grad_clip", "must be > 0")
         need(self.pad_matches >= 1, "pad_matches", "must be >= 1")
         need(0 < self.focal_alpha <= 1, "focal_alpha", "must be in (0, 1]")
+        need(self.seed >= 0, "seed", "must be >= 0")
         for name in ("weight_decay", "focal_gamma", "lambda_c", "lambda_f", "warp_rot_deg", "warp_scale",
                      "warp_trans_px", "warp_persp", "jitter_brightness", "jitter_contrast", "jitter_noise"):
             need(getattr(self, name) >= 0, name, "must be >= 0")
 
 
-# the field that opens each section, in file order
-_SECTION_STARTS = {"channels": "model", "topk": "matching", "focal_alpha": "loss", "lr": "training", "seed": "data"}
-_DEFAULTS = dataclasses.asdict(Config())
-_SECTION_OF, _section = {}, None
-for _name in _DEFAULTS:
-    _section = _SECTION_OF[_name] = _SECTION_STARTS.get(_name, _section)
-
-
-def _parse(key: str, value, where: str):
-    """Return `value` checked for field `key`; a string is parsed by the default's type.
-
-    list fields take comma-separated ints; an int field rejects a float, and
-    a float field stores an int as a float and rejects nan and inf.  `where`
-    names the source.
-    """
-    if key not in _DEFAULTS:
-        raise ValueError(f"{where}: unknown config key '{key}'")
-    kind = type(_DEFAULTS[key])
-    try:
-        if isinstance(value, str) and kind is not str:
-            value = [int(v) for v in value.split(",")] if kind is list else kind(value)
-        if kind is float and type(value) is int:
+def _checked(name: str, kind: type, value):
+    """Return `value` for field `name` of type `kind`, an int in a float field
+    as a float; raise ValueError naming the field when the type does not fit."""
+    if kind is float and type(value) is int:
+        try:
             value = float(value)
-        if type(value) is kind and (kind is not list or all(type(v) is int for v in value)):
-            if kind is not float or math.isfinite(value):
-                return value
-    except (ValueError, OverflowError):  # OverflowError: an int too large for a float
-        pass
-    expected = "finite float" if kind is float else kind.__name__
-    raise ValueError(f"{where}: config key '{key}' expects {expected}, got {value!r}")
+        except OverflowError:  # an int too large for a float
+            pass
+    if type(value) is kind and (kind is not list or all(type(v) is int for v in value)):
+        if kind is not float or math.isfinite(value):
+            return value
+    expected = {int: "an int", float: "a finite float", list: "a list of ints", str: "a str"}[kind]
+    raise ValueError(f"config {name} = {value!r}: must be {expected}")
 
 
-def load_config(path: str | None = None, overrides: dict | None = None) -> Config:
-    """Build a Config from defaults < file < SEMIDENSE_SEED < overrides."""
-    values = {}
-    if path is not None:
-        section = None
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                where = f"{path}:{lineno}"
-                line = line.split("#", 1)[0].strip()
-                if line.startswith("[") and line.endswith("]"):
-                    section = line[1:-1].strip()
-                    if section not in _SECTION_STARTS.values():
-                        raise ValueError(f"{where}: unknown config section '[{section}]'")
-                    continue
-                if not line:
-                    continue
-                key, eq, raw = (part.strip() for part in line.partition("="))
-                if not eq:
-                    raise ValueError(f"{where}: expected 'key = value', got '{line}'")
-                value = _parse(key, raw, where)
-                if section not in (None, _SECTION_OF[key]):
-                    raise ValueError(f"{where}: config key '{key}' belongs in [{_SECTION_OF[key]}], not [{section}]")
-                values[key] = value
-    env_seed = os.environ.get("SEMIDENSE_SEED")
-    if env_seed is not None:
-        values["seed"] = _parse("seed", env_seed, "SEMIDENSE_SEED")
-    for key, value in (overrides or {}).items():
-        values[key] = _parse(key, value, "override")
-    return Config(**values)
-
-
-def save_config(cfg: Config, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in dataclasses.asdict(cfg).items():
-            if key in _SECTION_STARTS:
-                fh.write(f"\n[{_SECTION_STARTS[key]}]\n")
-            if isinstance(value, list):
-                value = ",".join(str(c) for c in value)
-            fh.write(f"{key} = {value}\n")
+def load_config(overrides: dict | None = None) -> Config:
+    """Build a Config from the defaults and `overrides`; an unknown key is a ValueError."""
+    overrides = overrides or {}
+    for key in sorted(overrides.keys() - {f.name for f in dataclasses.fields(Config)}):
+        raise ValueError(f"unknown config key '{key}'")
+    return Config(**overrides)
