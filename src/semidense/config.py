@@ -22,7 +22,7 @@ class Config:
     heads: int = 8
     rope_base: float = 100.0
     scc_bins: int = 16           # per-axis soft-classification bins
-    injection: str = "gated"     # "gated" | "sum" (plain fusion fallback)
+    injection: str = "gated"     # "gated" | "sum"; "sum" is ROADMAP item 5's ablation, not built yet
 
     # matching
     topk: int = 1024

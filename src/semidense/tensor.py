@@ -157,12 +157,6 @@ _helpers_busy = threading.Lock()  # held by the thread whose split runs on the p
 os.register_at_fork(after_in_child=_pool.clear)  # a forked child has none of the pool's threads
 
 
-def _may_split(nbytes: int) -> bool:
-    """False when `_split` would run an op of `nbytes` in one part, so that
-    a small op may skip the set-up of its parts."""
-    return _PARTS > 1 and nbytes >= 2 * _PART_BYTES
-
-
 def _split(n: int, nbytes: int, fn, grain: int = 1) -> None:
     """Run `fn(part)` over slices `part` that cover range(n) in order.
 
@@ -375,12 +369,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return mul(self, -1.0)
 
@@ -568,13 +556,12 @@ def sub(a, b) -> Tensor:
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """`x * y`.  A product of two arrays of one shape, or of an array and a
-    0-d array, large enough to split goes into a new C-contiguous array,
-    split on its leading axis after any leading axes of length one.  Any
-    other product is one numpy call.  Its bytes count three times the
-    larger operand."""
-    nbytes = 3 * max(x.nbytes, y.nbytes)
-    if x.shape != y.shape and x.ndim and y.ndim or not _may_split(nbytes):
+    0-d array, goes into a new C-contiguous array, split on its leading
+    axis after any leading axes of length one; its bytes count three times
+    the larger operand.  Any other product is one numpy call."""
+    if x.shape != y.shape and x.ndim and y.ndim:
         return x * y
+    nbytes = 3 * max(x.nbytes, y.nbytes)
     shape = x.shape or y.shape
     out = np.empty(shape, np.result_type(x, y))
     lead = next((i for i, d in enumerate(shape) if d != 1), len(shape))
@@ -602,25 +589,6 @@ def mul(a, b) -> Tensor:
     return _make(_product(a.data, b.data), (na, nb), bw)
 
 
-def div(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a = _wrap(a, b)
-    b = _wrap(b, a)
-    if (b.data == 0).any():
-        raise FloatingPointError("div by zero")
-    na, nb, bd = a._node, b._node, b.data
-    out_data = a.data / bd
-    q = out_data if nb is not None else None  # read by b's gradient only
-
-    def bw(g):
-        if na is not None:
-            _accum(na, g / bd)
-        if nb is not None:
-            _accum(nb, -g * q / bd)
-
-    return _make(out_data, (na, nb), bw)
-
-
 def pow_scalar(a: Tensor, e: float) -> Tensor:
     if e % 1 and (a.data < 0).any():  # integer exponents skip the scan
         raise FloatingPointError(f"pow_scalar of negative value to the fractional power {e}")
@@ -630,20 +598,11 @@ def pow_scalar(a: Tensor, e: float) -> Tensor:
 
     def bw(g):
         base = ad
-        if e < 1:  # base ** (e - 1) is infinite at a zero base: clamp it, as sqrt clamps
+        if e < 1:  # base ** (e - 1) is infinite at a zero base: clamp it to the smallest normal
             base = np.where(ad == 0, np.finfo(ad.dtype).tiny, ad)
         _accum(na, g * e * base ** (e - 1))
 
     return _make(ad**e, (na,), bw)
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data, na = np.exp(a.data), a._node
-
-    def bw(g):
-        _accum(na, g * out_data)
-
-    return _make(out_data, (na,), bw)
 
 
 def log(a: Tensor) -> Tensor:
@@ -655,17 +614,6 @@ def log(a: Tensor) -> Tensor:
         _accum(na, g / ad)
 
     return _make(np.log(ad), (na,), bw)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    if (a.data < 0).any():
-        raise FloatingPointError("sqrt of negative value")
-    out_data, na = np.sqrt(a.data), a._node
-
-    def bw(g):
-        _accum(na, g * 0.5 / np.maximum(out_data, np.finfo(out_data.dtype).tiny))
-
-    return _make(out_data, (na,), bw)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -732,9 +680,9 @@ def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
         n = a.data.size
     else:
         axes = axis if isinstance(axis, tuple) else (axis,)
-        n = 1
-        for ax in axes:
-            n *= a.data.shape[ax]
+        n = math.prod(a.data.shape[ax] for ax in axes)
+    if not n:
+        raise ValueError(f"mean over no values: input shape {a.data.shape}, axis {axis}")
     return mul(tsum(a, axis, keepdims), 1.0 / n)
 
 
@@ -832,6 +780,10 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if x.data.shape[-1] != weight.data.shape[1]:
         raise ValueError(
             f"linear: input last dim {x.data.shape[-1]} != weight in dim {weight.data.shape[1]}"
+        )
+    if bias is not None and bias.data.shape != weight.data.shape[:1]:
+        raise ValueError(
+            f"linear: bias has shape {bias.data.shape}, but the weight has {weight.data.shape[0]} output features"
         )
     wd = weight.data
     out_data = np.matmul(x.data, wd.T)

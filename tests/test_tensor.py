@@ -286,6 +286,13 @@ class TestLinear:
         with pytest.raises(ValueError, match="last dim"):
             T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
 
+    @pytest.mark.parametrize("shape", [(1,), (5,), (4, 1), ()], ids=["one", "too-many", "2-d", "0-d"])
+    def test_bias_must_have_one_value_per_output_and_is_named(self, shape):
+        """A bias that merely broadcasts, (1,) or (4, 1), is refused like one that does not."""
+        x, w = Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3)))
+        with pytest.raises(ValueError, match=re.escape(f"linear: bias has shape {shape}, but the weight has 4 output features")):
+            T.linear(x, w, Tensor(np.ones(shape)))
+
 
 class TestBatchNorm:
     def test_eval_identity_stats(self):
@@ -552,10 +559,6 @@ class TestUpsample:
 
 
 class TestNegativeInputs:
-    def test_sqrt_of_negative_raises(self):
-        with pytest.raises(FloatingPointError, match="sqrt"):
-            T.sqrt(Tensor(np.array([4.0, -1.0])))
-
     def test_fractional_power_of_negative_raises(self):
         with pytest.raises(FloatingPointError, match="pow_scalar"):
             Tensor(np.array([-2.0])) ** 0.5
@@ -574,15 +577,6 @@ class TestNegativeInputs:
         assert np.isfinite(x.grad).all()
         np.testing.assert_array_equal(x.grad[1:], e * xs[1:] ** (e - 1))
 
-    @pytest.mark.parametrize(
-        "a,b",
-        [(Tensor([1.0, 2.0]), 0.0), (Tensor([1.0, 2.0]), Tensor([1.0, 0.0])), (1.0, Tensor([0.0]))],
-        ids=["by-scalar-zero", "by-tensor-with-zero", "scalar-by-zero"],
-    )
-    def test_div_by_zero_raises(self, a, b):
-        with pytest.raises(FloatingPointError, match="div"):
-            a / b
-
     def test_integer_power_of_negative_is_allowed(self):
         x = Tensor(np.array([-2.0]), requires_grad=True)
         y = x**2.0
@@ -596,6 +590,19 @@ class TestNegativeInputs:
 def test_item_of_every_size_one_shape(shape, dtype):
     value = Tensor(np.full(shape, 3.5, dtype=dtype)).item()
     assert type(value) is float and value == 3.5
+
+
+@pytest.mark.parametrize(
+    "shape,axis", [((0, 3), None), ((0, 3), 0), ((2, 0), (0, 1)), ((2, 0, 3), -2)], ids=["all", "axis", "axes", "neg-axis"]
+)
+def test_mean_over_no_values_names_shape_and_axis(shape, axis):
+    with pytest.raises(ValueError, match=re.escape(f"mean over no values: input shape {shape}, axis {axis}")):
+        Tensor(np.zeros(shape), requires_grad=True).mean(axis=axis)
+
+
+def test_mean_of_an_empty_tensor_over_a_full_axis_is_empty():
+    y = Tensor(np.zeros((0, 3))).mean(axis=1)
+    assert y.shape == (0,) and y.dtype == np.float64
 
 
 class TestGradientOwnership:
@@ -876,8 +883,8 @@ class TestScalarOperands:
 
     @pytest.mark.parametrize(
         "op,value,becomes",
-        [(T.div, 1e-50, "0.0"), (T.mul, 1e50, "inf"), (T.add, 1e50, "inf"), (T.sub, -1e50, "-inf")],
-        ids=["div-underflow", "mul-overflow", "add-overflow", "sub-overflow"],
+        [(T.mul, 1e-50, "0.0"), (T.mul, 1e50, "inf"), (T.add, 1e50, "inf"), (T.sub, -1e50, "-inf")],
+        ids=["mul-underflow", "mul-overflow", "add-overflow", "sub-overflow"],
     )
     def test_scalar_that_does_not_fit_float32_is_named(self, op, value, becomes):
         x = Tensor(np.ones(2, np.float32))
@@ -885,12 +892,14 @@ class TestScalarOperands:
             op(x, value)
 
     def test_reflected_operand_is_checked_too(self):
-        with pytest.raises(ValueError, match="does not fit float32"):
-            1e-50 / Tensor(np.ones(2, np.float32))
+        x = Tensor(np.ones(2, np.float32))
+        for reflected in (lambda: T.mul(1e-50, x), lambda: T.add(1e50, x), lambda: T.sub(-1e50, x), lambda: 1e50 - x):
+            with pytest.raises(ValueError, match="does not fit float32"):
+                reflected()
 
     def test_float64_keeps_its_results(self):
         x = Tensor(np.ones(2))
-        np.testing.assert_array_equal((x / 1e-50).data, np.full(2, 1e50))
+        np.testing.assert_array_equal((x * 1e-50).data, np.full(2, 1e-50))
         np.testing.assert_array_equal((x * 1e50).data, np.full(2, 1e50))
         np.testing.assert_array_equal((x + 1e50).data, np.full(2, 1e50))
 
@@ -902,7 +911,7 @@ class TestScalarOperands:
 
 
 class TestArithmeticWithArrays:
-    @pytest.mark.parametrize("op", [T.mul, T.div])
+    @pytest.mark.parametrize("op", [T.mul, T.sub])
     @pytest.mark.parametrize("xs,bs", [((3, 4), (4,)), ((4,), (3, 4)), ((2, 1, 4), (3, 1))])
     def test_ndarray_operand_broadcast_gradients(self, op, xs, bs):
         rng = np.random.default_rng(16)
@@ -914,14 +923,8 @@ class TestArithmeticWithArrays:
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32))
         b = np.array([2.0, 4.0])
         np.testing.assert_array_equal(T.mul(x, b).data, x.data * b)
-        np.testing.assert_array_equal(T.div(x, b).data, (x.data / b).astype(np.float32))
-        assert T.mul(x, b).dtype == np.float32
-
-    def test_div_by_scalar_rounds_as_numpy_divides(self):
-        x = Tensor(np.random.default_rng(19).standard_normal(10_000, dtype=np.float32))
-        expected = x.data / np.float32(3.0)
-        np.testing.assert_array_equal(T.div(x, 3.0).data, expected)
-        np.testing.assert_array_equal(T.div(x, np.float32(3.0)).data, expected)
+        np.testing.assert_array_equal(T.sub(x, b).data, (x.data - b).astype(np.float32))
+        assert T.mul(x, b).dtype == T.sub(x, b).dtype == np.float32
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_mul_by_scalar_and_neg_round_as_numpy(self, dtype):
@@ -932,7 +935,7 @@ class TestArithmeticWithArrays:
 
     def test_scalars_keep_fast_path(self):
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        for y in (-x, x * np.float32(3.0), x / 2):
+        for y in (-x, x * np.float32(3.0), x - 2, 2.0 - x):
             assert y._node.parents == (x._node,)
 
 
@@ -952,16 +955,12 @@ GRAD_CASES = [
     ("add-broadcast", lambda a, b: a + b, [_normal(3, 1, 4), _normal(2, 4)]),
     ("sub-broadcast", lambda a, b: a - b, [_normal(2, 4), _normal(3, 1, 4)]),
     ("mul-broadcast", lambda a, b: a * b, [_normal(3, 1, 4), _normal(2, 1)]),
-    ("div-broadcast", lambda a, b: a / b, [_normal(2, 1), _positive(3, 1, 4)]),
     ("radd-rmul-scalar", lambda x: 2.0 + 3.0 * x, [_normal(3, 4)]),
     ("rsub-scalar", lambda x: 2.0 - x, [_normal(3, 4)]),
-    ("rdiv-scalar", lambda x: 3.0 / x, [_positive(3, 4)]),
     ("neg", lambda x: -x, [_normal(3, 4)]),
     ("pow-2", lambda x: x**2, [_normal(3, 4)]),
     ("pow-neg-half", lambda x: x**-0.5, [_positive(3, 4)]),
-    ("exp", T.exp, [_normal(3, 4)]),
     ("log", T.log, [_positive(3, 4)]),
-    ("sqrt", T.sqrt, [_positive(3, 4)]),
     ("sigmoid", T.sigmoid, [3.0 * _normal(3, 4)]),
     ("relu", T.relu, [_normal(3, 4)]),
     ("clamp_min", lambda x: T.clamp_min(x, 0.1), [_normal(3, 4)]),
@@ -996,7 +995,7 @@ GRAD_CASES = [
     ("gather_rows-1d-repeated", lambda x: T.gather_rows(x, [2, 0, 2, 2]), [_normal(4)]),
     ("gather_rows-2d-repeated", lambda x: T.gather_rows(x, [1, 3, 1, 0, 1]), [_normal(4, 3)]),
     ("pow-half", lambda x: x**0.5, [_positive(3, 4)]),
-    ("div-scalar", lambda x: x / 3.0, [_normal(3, 4)]),
+    ("mul-same-shape", lambda a, b: a * b, [_normal(3, 4), _normal(3, 4)]),
     ("transpose-mixed-sign-axes", lambda x: x.transpose(-1, 0, 1), [_normal(2, 3, 4)]),
 ]
 
@@ -1046,7 +1045,6 @@ BROADCAST_OPS = {
     "add": (T.add, lambda a, b: np.ones_like(a * b), lambda a, b: np.ones_like(a * b)),
     "sub": (T.sub, lambda a, b: np.ones_like(a * b), lambda a, b: -np.ones_like(a * b)),
     "mul": (T.mul, lambda a, b: b + 0 * a, lambda a, b: a + 0 * b),
-    "div": (T.div, lambda a, b: 1 / b + 0 * a, lambda a, b: -a / b**2),
 }
 
 
@@ -1200,7 +1198,7 @@ class TestThreadSplit:
         x = rng.standard_normal((1024, 2048), dtype=np.float32)  # 8 MB
         x[:, ::3] = 0.0  # the gradient at zero
         w = rng.standard_normal(2048, dtype=np.float32)
-        assert T._may_split(x.nbytes)
+        assert x.nbytes >= 2 * T._PART_BYTES  # large enough for two parts, were it split
         a = Tensor(x, requires_grad=True)
         y = T.relu(a)
         y.sum().backward()
