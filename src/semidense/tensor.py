@@ -10,14 +10,15 @@ and change the last bit of some of its sums).  Convolution has one
 code path, an im2col-GEMM (see `conv2d`).  Forward gives each image its own
 patch region; backward folds the batch into the GEMM columns, so it runs
 one weight-gradient GEMM per block, not a weight-sized product per image.
-Patches are filled one block of output rows at a time
-into a buffer of a few MB, so they stay in cache for the GEMMs that read
-them; backward re-extracts them from the input instead of keeping the kh*kw
-times larger patch matrix on the tape.  `softmax` along any axis but the
-last is blocked the same way: it runs its max, subtract, exp and sum passes
-on one cache-sized run of slices (`_SOFTMAX_BLOCK_BYTES`) at a time,
-because whole-array passes over the 64 MB dual-softmax scores each stream
-the array from memory, while a block stays in cache across them.
+Patches are filled one block of output rows at a time into a buffer of a
+few MB, so they stay in cache for the GEMMs that read them; backward
+re-extracts them from the input instead of keeping the kh*kw times larger
+patch matrix on the tape.  Padding makes no copy: a tap reads only the part
+of the input it covers, and zeros stand for the border.  `softmax` along
+any axis but the last is blocked the same way: it runs its max, subtract,
+exp and sum passes on one cache-sized run of slices (`_SOFTMAX_BLOCK_BYTES`)
+at a time, because whole-array passes over the 64 MB dual-softmax scores
+each stream the array from memory, while a block stays in cache across them.
 
 Graph state: a tensor is its `data` plus, when it requires grad, a `Node`.
 An op's output node holds the op's backward closure, the nodes of those
@@ -400,22 +401,20 @@ class Tensor:
         return transpose(self, axes if axes else None)
 
 
-# Largest finite value of each tensor dtype, as a Python float.
-_DTYPE_MAX = {np.dtype(t): float(np.finfo(t).max) for t in (np.float32, np.float64)}
-
-
 def _wrap(other, like: Tensor):
-    """`other` as a Tensor of `like`'s dtype; a finite scalar that the cast
-    would turn into inf, or from nonzero into zero, is a ValueError."""
+    """`other` as a Tensor of `like`'s dtype; a finite nonzero scalar or
+    array entry that the cast would turn into inf or zero is a ValueError."""
     if isinstance(other, Tensor):
         return other
-    if isinstance(other, (int, float, np.number)) and math.isfinite(other) and abs(float(other)) > _DTYPE_MAX[like.dtype]:
-        with np.errstate(over="ignore"):  # reported below, not warned about
-            arr = np.asarray(other, dtype=like.dtype)
-    else:
-        arr = np.asarray(other, dtype=like.dtype)
-    if arr.ndim == 0 and (not np.isfinite(arr) or arr == 0) and other != 0 and math.isfinite(other):
-        raise ValueError(f"scalar {other!r} does not fit {like.dtype}: it would become {arr.item()!r}")
+    src = np.asarray(other)
+    with np.errstate(over="ignore"):  # reported below, not warned about
+        arr = src.astype(like.dtype, copy=False)
+    if not np.can_cast(src.dtype, arr.dtype):  # only a narrowing cast can break a value
+        broken = np.isfinite(src) & (src != 0) & ~(np.isfinite(arr) & (arr != 0))
+        if broken.any():
+            at = tuple(np.argwhere(broken)[0].tolist())
+            what = f"entry {at} of the array, {src[at].item()!r}," if src.ndim else f"scalar {other!r}"
+            raise ValueError(f"{what} does not fit {like.dtype}: it would become {arr[at].item()!r}")
     return Tensor(arr)
 
 
@@ -958,23 +957,36 @@ def _conv_shape_check(x, w, stride, padding):
 _CONV_BLOCK_BYTES = 8 << 20
 
 
-def _im2col(xp, cols, stride, r0):
-    """Fill `cols`, (N, C, kh, kw, rows, OW), with the patches of padded NCHW
-    `xp` for output rows r0..."""
+def _spans(k, size, count, stride, padding, start=0):
+    """Per tap along one axis: the span [lo, hi) of the `count` outputs from
+    `start` that read inside an input of `size`, and the index output lo reads."""
+    spans = []
+    for at in range(stride * start - padding, stride * start - padding + k):  # the index output 0 reads
+        lo = min(count, max(0, -(at // stride)))
+        hi = max(lo, min(count, (size - 1 - at) // stride + 1))
+        spans.append((lo, hi, at + stride * lo))
+    return spans
+
+
+def _im2col(x, cols, stride, padding, r0):
+    """Fill `cols`, (N, C, kh, kw, rows, OW), with the zero-padded NCHW `x`'s patches, rows r0..."""
     kh, kw, rows, ow = cols.shape[2:]
-    for i in range(kh):
-        for j in range(kw):
-            taps = slice(i + stride * r0, i + stride * (r0 + rows), stride)
-            cols[:, :, i, j] = xp[:, :, taps, j : j + stride * ow : stride]
+    row_spans, col_spans = _spans(kh, x.shape[2], rows, stride, padding, r0), _spans(kw, x.shape[3], ow, stride, padding)
+    for i, (a, b, y) in enumerate(row_spans):
+        for j, (e, f, z) in enumerate(col_spans):
+            if b - a < rows or f - e < ow:  # the tap reads the border
+                cols[:, :, i, j] = 0
+            cols[:, :, i, j, a:b, e:f] = x[:, :, y : y + stride * (b - a) : stride, z : z + stride * (f - e) : stride]
 
 
-def _col2im(gxp, gcols, stride, r0):
-    """Add patch gradients laid out as in `_im2col` into padded NCHW `gxp`."""
+def _col2im(gx, gcols, stride, padding, r0):
+    """Add patch gradients laid out as in `_im2col` into NCHW `gx`, dropping
+    those that fall on the border."""
     kh, kw, rows, ow = gcols.shape[2:]
-    for i in range(kh):
-        for j in range(kw):
-            taps = slice(i + stride * r0, i + stride * (r0 + rows), stride)
-            gxp[:, :, taps, j : j + stride * ow : stride] += gcols[:, :, i, j]
+    row_spans, col_spans = _spans(kh, gx.shape[2], rows, stride, padding, r0), _spans(kw, gx.shape[3], ow, stride, padding)
+    for i, (a, b, y) in enumerate(row_spans):
+        for j, (e, f, z) in enumerate(col_spans):
+            gx[:, :, y : y + stride * (b - a) : stride, z : z + stride * (f - e) : stride] += gcols[:, :, i, j, a:b, e:f]
 
 
 def conv2d(
@@ -1009,27 +1021,20 @@ def conv2d(
     on OpenBLAS's own threads, as `matmul` runs; then scatters the patch
     gradient into the input gradient (col2im), split per image.  No split
     changes the order of any element's sum.  The buffers live for one
-    call; the tape keeps only the input, neither its padded copy nor
-    patches.
+    call; the tape keeps only the input, never patches.  Padding makes no
+    copy: a tap copies what it reads inside the input (`_spans`), zeroing
+    its slice first where it reaches the border, and col2im adds just that
+    into a C-contiguous input gradient, bit for bit as on a padded copy.
     """
     _conv_shape_check(x.data, weight.data, stride, padding)
-    n, c, h, wd = x.data.shape
+    xd, dtype = x.data, x.data.dtype
+    n, c, h, wd = xd.shape
     o, _, kh, kw = weight.data.shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (wd + 2 * padding - kw) // stride + 1
     w2 = weight.data.reshape(o, c * kh * kw)
-    rows = min(oh, max(1, _CONV_BLOCK_BYTES // max(1, n * c * kh * kw * ow * x.data.itemsize)))
+    rows = min(oh, max(1, _CONV_BLOCK_BYTES // max(1, n * c * kh * kw * ow * dtype.itemsize)))
     blocks = [(r0, min(r0 + rows, oh)) for r0 in range(0, oh, rows)]
-    pshape, itemsize = (n, c, h + 2 * padding, wd + 2 * padding), x.data.itemsize
-    inner = np.s_[..., padding : padding + h, padding : padding + wd]  # the input inside its zero border
-
-    def padded(xd):
-        """Input `xd` inside a zero border of `padding`, filled by slice assignment."""
-        if not padding:
-            return xd
-        xp = np.zeros(pshape, dtype=xd.dtype)
-        xp[inner] = xd
-        return xp
 
     def block(buf, per, r0, r1):
         """Rows [r0, r1) in front of `buf`, laid out (*per, N, rows, OW): the
@@ -1040,51 +1045,49 @@ def conv2d(
 
     def block_bytes(r0, r1):
         """What a block's parts read and write: patches, output rows and weights."""
-        return (c * kh * kw + o) * n * (r1 - r0) * ow * itemsize + w2.nbytes
+        return (c * kh * kw + o) * n * (r1 - r0) * ow * dtype.itemsize + w2.nbytes
 
-    out_data = np.empty((n, o, oh, ow), dtype=np.result_type(x.data, weight.data))
+    out_data = np.empty((n, o, oh, ow), dtype=np.result_type(xd, weight.data))
     out3 = out_data.reshape(n, o, oh * ow)  # a block's columns are a view
-    xp, regions = padded(x.data), np.empty((n, c * kh * kw * rows * ow), dtype=x.data.dtype)
+    regions = np.empty((n, c * kh * kw * rows * ow), dtype=dtype)
 
     def forward(s):
         """Images `s`, each through every block in its own region."""
         for r0, r1 in blocks:
             span = (r1 - r0) * ow
             cols = regions[s, : c * kh * kw * span].reshape(s.stop - s.start, c, kh, kw, r1 - r0, ow)
-            _im2col(xp[s], cols, stride, r0)
+            _im2col(xd[s], cols, stride, padding, r0)
             for patches, out in zip(cols, out3[s, :, r0 * ow : r1 * ow]):
                 np.matmul(w2, patches.reshape(c * kh * kw, span), out=out)
 
     _split(n, block_bytes(*blocks[0]), forward)
     nx, nw = x._node, weight._node
-    xd = x.data if nw is not None else None  # read by the weight gradient only
-    dtype = x.data.dtype
+    xd = xd if nw is not None else None  # read by the weight gradient only
 
     def bw(g):
-        xp = padded(xd) if nw is not None else None
-        gxp = np.zeros(pshape, dtype=dtype) if nx is not None else None
+        gx = np.zeros((n, c, h, wd), dtype=dtype) if nx is not None else None
         buf, gybuf = np.empty(c * kh * kw * n * rows * ow, dtype=dtype), np.empty(o * n * rows * ow, dtype=g.dtype)
         gw = None
 
         def images(s):
             """Output gradient and, for the weight gradient, patches of images `s` in the block."""
             gys[s] = g[s, :, r0:r1]
-            if xp is not None:
-                _im2col(xp[s], cols[s], stride, r0)
+            if xd is not None:
+                _im2col(xd[s], cols[s], stride, padding, r0)
 
         for r0, r1 in blocks:
             (cols, mat), (gys, gyb) = block(buf, (c, kh, kw), r0, r1), block(gybuf, (o,), r0, r1)
             _split(n, block_bytes(r0, r1), images)
-            if xp is not None:
+            if xd is not None:
                 part = gyb @ mat.T
                 gw = part if gw is None else np.add(gw, part, out=gw)
-            if gxp is not None:
+            if gx is not None:
                 np.matmul(w2.T, gyb, out=mat)  # the patch gradient overwrites the patches
-                _split(n, block_bytes(r0, r1), lambda s: _col2im(gxp[s], cols[s], stride, r0))
+                _split(n, block_bytes(r0, r1), lambda s: _col2im(gx[s], cols[s], stride, padding, r0))
         if gw is not None:
             _accum(nw, gw.reshape(nw.shape))
-        if gxp is not None:
-            _accum(nx, gxp[inner])
+        if gx is not None:
+            _accum(nx, gx)
 
     return _make(out_data, (nx, nw), bw)
 
@@ -1126,8 +1129,11 @@ def batchnorm2d(
         mean, var, inv_std = np.empty(c, xd.dtype), np.empty(c, dtype), np.empty(c, dtype)
         squares = np.empty(xd.shape, dtype)
     else:
-        mean = running_mean.astype(xd.dtype)
-        inv_std = 1.0 / np.sqrt(running_var.astype(xd.dtype) + eps)
+        mean, var_eps = running_mean.astype(xd.dtype), running_var.astype(xd.dtype) + eps
+        if not (var_eps > 0).all():
+            k = int(np.argmin(var_eps > 0))
+            raise ValueError(f"batchnorm2d: running_var + eps must be positive, channel {k} has {var_eps[k].item()!r}")
+        inv_std = 1.0 / np.sqrt(var_eps)
         scale = inv_std * gd
         shift = bd - mean * scale
 

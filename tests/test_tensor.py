@@ -115,9 +115,45 @@ class TestConv2d:
 
     @staticmethod
     def rows_per_block(monkeypatch, x, k, ow, rows):
-        """Cap `conv2d`'s patch block at `rows` output rows of input `x`."""
+        """Cap `conv2d`'s patch block at `rows` output rows of input `x` and a
+        k x k kernel, or a (kh, kw) one."""
         n, c = x.shape[:2]
-        monkeypatch.setattr(T, "_CONV_BLOCK_BYTES", rows * n * c * k * k * ow * x.itemsize)
+        taps = k * k if isinstance(k, int) else k[0] * k[1]
+        monkeypatch.setattr(T, "_CONV_BLOCK_BYTES", rows * n * c * taps * ow * x.itemsize)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (5, 3)], ids=["1x1", "3x3", "5x3"])
+    @pytest.mark.parametrize("padding", [0, 1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_padding_agrees_with_an_explicitly_padded_input(self, monkeypatch, stride, padding, kernel, dtype):
+        """The border reads as zeros and its gradient is dropped, bit for bit
+        as on a zero-padded copy of the input, in blocks of 2 output rows;
+        some taps of a block lie wholly in the border once padding >= kernel.
+        The input gradient handed to the tape is C-contiguous."""
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((2, 3, 10, 7)).astype(dtype)
+        w = rng.standard_normal((4, 3, *kernel)).astype(dtype)
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        oh, ow = ((xp.shape[2] - kernel[0]) // stride + 1, (xp.shape[3] - kernel[1]) // stride + 1)
+        self.rows_per_block(monkeypatch, x, kernel, ow, 2)
+        r = rng.standard_normal((2, 4, oh, ow)).astype(dtype)
+        sent, accum = [], T._accum
+        monkeypatch.setattr(T, "_accum", lambda node, g: (sent.append((node, g)), accum(node, g)))
+
+        def run(a, pad):
+            leaf, wt = Tensor(a, requires_grad=True), Tensor(w, requires_grad=True)
+            xin = leaf.reshape(a.shape)  # an inner node: it takes conv2d's input gradient as it is
+            y = T.conv2d(xin, wt, stride=stride, padding=pad)
+            (y * r).sum().backward()
+            return y.data, next(g for node, g in sent if node is xin._node), wt.grad
+
+        y, gx, gw = run(x, padding)
+        y0, gx0, gw0 = run(xp, 0)
+        assert y.dtype == gx.dtype == gw.dtype == dtype
+        np.testing.assert_array_equal(y, y0)
+        np.testing.assert_array_equal(gx, gx0[..., padding : padding + 10, padding : padding + 7])
+        np.testing.assert_array_equal(gw, gw0)
+        assert gx.flags.c_contiguous
 
     @pytest.mark.parametrize("cin,cout,k,stride,padding,bias", CONV_GRAD_CASES, ids=CONV_GRAD_IDS)
     def test_gradients_in_row_blocks(self, monkeypatch, cin, cout, k, stride, padding, bias):
@@ -350,6 +386,14 @@ class TestBatchNorm:
                 Tensor(np.zeros((1, 3, 2, 2))), np.zeros(2), np.ones(2),
                 Tensor(np.ones(2)), Tensor(np.zeros(2)), training=False,
             )
+
+    @pytest.mark.parametrize("var", [-1.0, -1e-5, np.nan], ids=["negative", "minus-eps", "nan"])
+    def test_eval_refuses_a_running_var_that_eps_leaves_not_positive(self, var):
+        args = Tensor(np.ones((1, 2, 2, 2))), np.zeros(2), np.array([1.0, var]), Tensor(np.ones(2)), Tensor(np.zeros(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any sqrt warns
+            with pytest.raises(ValueError, match=r"running_var \+ eps must be positive, channel 1 has"):
+                T.batchnorm2d(*args, training=False, eps=1e-5)
 
     @pytest.mark.parametrize("wrong", ["running_mean", "running_var", "gamma", "beta"])
     @pytest.mark.parametrize("training", [True, False])
@@ -896,6 +940,20 @@ class TestScalarOperands:
         for reflected in (lambda: T.mul(1e-50, x), lambda: T.add(1e50, x), lambda: T.sub(-1e50, x), lambda: 1e50 - x):
             with pytest.raises(ValueError, match="does not fit float32"):
                 reflected()
+
+    @pytest.mark.parametrize("op", [T.mul, T.add, T.sub])
+    @pytest.mark.parametrize("entry,becomes", [(1e50, "inf"), (-1e50, "-inf"), (1e-50, "0.0")], ids=["overflow", "neg-overflow", "underflow"])
+    def test_array_entry_that_does_not_fit_float32_is_named(self, op, entry, becomes):
+        x = Tensor(np.ones((2, 2), np.float32))
+        message = re.escape(f"entry (1,) of the array, {entry!r}, does not fit float32: it would become {becomes}")
+        for operands in ((x, np.array([1.0, entry])), (np.array([1.0, entry]), x)):  # the reflected operand too
+            with pytest.raises(ValueError, match=message):
+                op(*operands)
+
+    def test_array_entries_that_fit_pass(self):
+        x = Tensor(np.ones(3, np.float32))
+        np.testing.assert_array_equal(T.mul(x, np.array([1e-40, np.inf, 0.0])).data, np.float32([1e-40, np.inf, 0.0]))
+        np.testing.assert_array_equal(T.mul(Tensor(np.ones(2)), np.array([1e50, 1e-50])).data, [1e50, 1e-50])
 
     def test_float64_keeps_its_results(self):
         x = Tensor(np.ones(2))
