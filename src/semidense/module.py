@@ -9,7 +9,7 @@ from .tensor import Tensor
 
 
 class Parameter(Tensor):
-    """A trainable tensor; modules register these under dotted names.
+    """A trainable tensor; a module lists these under dotted names.
 
     It holds a float32 copy of `data`, so an in-place step never rewrites
     the caller's array.
@@ -32,73 +32,75 @@ def _check_sizes(layer: str, **sizes) -> None:
 
 
 class Module:
-    """Minimal module tree: tracks parameters, buffers, and train/eval mode."""
+    """A tree of parameters, buffers and submodules, read from its attributes.
 
-    def __init__(self):
-        object.__setattr__(self, "_params", {})
-        object.__setattr__(self, "_buffers", {})
-        object.__setattr__(self, "_children", {})
-        object.__setattr__(self, "training", True)
+    What a module holds is what its attributes hold now, in first-assignment
+    order: a `Parameter` is a parameter, an `np.ndarray` a buffer, and a
+    `Module` or a non-empty list of Modules a submodule, the list's items
+    named `name.0`, `name.1`, ...  Any other value, a list of tuples
+    included, is neither.  A module lists its own members before its
+    submodules', so rebinding an attribute or setting it to None changes
+    what `named_parameters`, `state_dict` and `load_state_dict` see.
+    """
 
-    def __setattr__(self, name, value):
-        if isinstance(value, Parameter):
-            self._params[name] = value
-        elif isinstance(value, Module):
-            self._children[name] = value
-        object.__setattr__(self, name, value)
+    training = True
 
-    def register_buffer(self, name: str, value: np.ndarray):
-        self._buffers[name] = value
-        object.__setattr__(self, name, value)
+    def _modules(self, prefix: str = ""):
+        """(dotted prefix, module) of this module and every submodule, parents first."""
+        yield prefix, self
+        for name, value in vars(self).items():
+            if isinstance(value, Module):
+                yield from value._modules(f"{prefix}{name}.")
+            elif isinstance(value, list) and value and all(isinstance(m, Module) for m in value):
+                for i, m in enumerate(value):
+                    yield from m._modules(f"{prefix}{name}.{i}.")
 
-    def named_parameters(self, prefix: str = ""):
-        for name, p in self._params.items():
-            yield prefix + name, p
-        for cname, child in self._children.items():
-            yield from child.named_parameters(prefix + cname + ".")
+    def _walk(self, kind):
+        """(dotted name, value) of every attribute of type `kind` in the tree."""
+        return ((pre + name, v) for pre, m in self._modules() for name, v in vars(m).items() if isinstance(v, kind))
+
+    def named_parameters(self):
+        return self._walk(Parameter)
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
-    def named_buffers(self, prefix: str = ""):
-        for name, b in self._buffers.items():
-            yield prefix + name, b
-        for cname, child in self._children.items():
-            yield from child.named_buffers(prefix + cname + ".")
-
-    def state_dict(self, prefix: str = "") -> dict:
-        state = {name: p.data for name, p in self.named_parameters(prefix)}
-        state.update({name: b for name, b in self.named_buffers(prefix)})
+    def state_dict(self) -> dict:
+        state = {name: p.data for name, p in self.named_parameters()}
+        state.update(self._walk(np.ndarray))
         return state
 
-    def load_state_dict(self, state: dict, prefix: str = "") -> None:
+    def load_state_dict(self, state: dict) -> None:
         """Copy `state` into the own parameter and buffer arrays in place.
 
-        The keys must be exactly those of `state_dict()` with equal shapes
-        and finite values; nothing is written unless all hold, and no array
-        aliases `state`.
+        The keys must be exactly those of `state_dict()` with equal shapes,
+        and each value must be real and stay finite when cast to its
+        destination's dtype; nothing is written unless all hold, and no
+        array aliases `state`.
         """
-        own = self.state_dict(prefix)
+        own = self.state_dict()
         missing, unexpected = sorted(own.keys() - state.keys()), sorted(state.keys() - own.keys())
         if missing or unexpected:
             raise KeyError(f"state dict keys differ: missing {missing}, unexpected {unexpected}")
         wrong = {k: (np.shape(state[k]), own[k].shape) for k in own if np.shape(state[k]) != own[k].shape}
         if wrong:
             raise ValueError(f"state dict shape mismatch, (given, own) by key: {wrong}")
-        bad = sorted(k for k in own if not np.isfinite(state[k]).all())
+        cast, bad = {}, []
+        for k, dst in own.items():
+            value = np.asarray(state[k])
+            with np.errstate(over="ignore"):  # a cast that overflows is named as non-finite below
+                cast[k] = value.astype(dst.dtype) if value.dtype.kind in "biuf" else None
+            if cast[k] is None or not np.isfinite(cast[k]).all():
+                bad.append(k)
         if bad:
-            raise ValueError(f"state dict holds non-finite values under keys {bad}")
-        for name, dst in own.items():
-            dst[...] = state[name]
+            raise ValueError(f"state dict holds non-real or non-finite values under keys {sorted(bad)}")
+        for k, dst in own.items():
+            dst[...] = cast[k]
 
     def train(self, mode: bool = True):
-        object.__setattr__(self, "training", mode)
-        for child in self._children.values():
-            child.train(mode)
+        for _, m in self._modules():
+            m.training = mode
         return self
-
-    def eval(self):
-        return self.train(False)
 
     def zero_grad(self):
         """Release every parameter's gradient; each is None until backward reaches it."""
@@ -107,11 +109,10 @@ class Module:
 
 
 class Linear(Module):
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator, bias: bool = True, gain: float = np.sqrt(2.0)):
-        super().__init__()
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator, gain: float = np.sqrt(2.0)):
         _check_sizes("Linear", in_features=in_features, out_features=out_features)
         self.weight = Parameter(kaiming_normal(rng, (out_features, in_features), in_features, gain))
-        self.bias = Parameter(np.zeros(out_features, dtype=np.float32)) if bias else None
+        self.bias = Parameter(np.zeros(out_features, dtype=np.float32))
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.linear(x, self.weight, self.bias)
@@ -129,7 +130,6 @@ class Conv2d(Module):
         stride: int = 1,
         padding: int = 0,
     ):
-        super().__init__()
         T._conv_args_check(stride, padding)
         _check_sizes("Conv2d", in_channels=in_channels, out_channels=out_channels, kernel_size=kernel_size)
         fan_in = in_channels * kernel_size * kernel_size
@@ -142,19 +142,14 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
-        super().__init__()
+    def __init__(self, channels: int):
         _check_sizes("BatchNorm2d", channels=channels)
-        if not 0 <= momentum <= 1:
-            raise ValueError(f"BatchNorm2d: momentum must be in [0, 1], got {momentum!r}")
-        if not eps > 0:
-            raise ValueError(f"BatchNorm2d: eps must be > 0, got {eps!r}")
         self.gamma = Parameter(np.ones(channels, dtype=np.float32))
         self.beta = Parameter(np.zeros(channels, dtype=np.float32))
-        self.register_buffer("running_mean", np.zeros(channels, dtype=np.float32))
-        self.register_buffer("running_var", np.ones(channels, dtype=np.float32))
-        self.momentum = momentum
-        self.eps = eps
+        self.running_mean = np.zeros(channels, dtype=np.float32)
+        self.running_var = np.ones(channels, dtype=np.float32)
+        self.momentum = 0.1  # an attribute, so that a calibration pass can set it to 1
+        self.eps = 1e-5
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.batchnorm2d(

@@ -231,14 +231,7 @@ def set_parallel(num_workers: int = 0) -> None:
     """Accept 0, the only mode there is; any other worker count is an error.
 
     The name stays for existing importers.  The thread count is not a
-    setting: a large op splits into as many parts as OpenBLAS was given
-    threads, the caller runs the first and a thread pool made on the first
-    split runs the others, and the caller also runs every part that no
-    pool thread has started by the time its own is done (see the thread
-    policy in the module docstring).  Results are bitwise equal for any
-    part count, though not for any OpenBLAS thread count.  A split changes
-    OpenBLAS's process-wide thread count, so engine ops must not run
-    beside other BLAS work, engine ops in another thread included.
+    setting: see the thread policy in the module docstring.
     """
     if num_workers != 0:
         raise ValueError(

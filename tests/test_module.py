@@ -1,11 +1,15 @@
-"""Tests of the module tree's state dict: strict keys and shapes, in-place
-copies that never alias the caller's arrays, and batchnorm buffers; and of
-train/eval mode reaching every nested module."""
+"""Tests of the module tree's state dict: strict keys, shapes and values,
+in-place copies that never alias the caller's arrays, and batchnorm buffers;
+of train/eval mode reaching every nested module; and of the tree being what
+the attributes hold now, lists of modules included."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from semidense import tensor as T
+from semidense.config import load_config
 from semidense.module import BatchNorm2d, Conv2d, Linear, Module, Parameter
 from semidense.tensor import Tensor
 
@@ -33,7 +37,7 @@ def test_round_trip():
     for (name, a), b in zip(src.state_dict().items(), dst.state_dict().values()):
         np.testing.assert_array_equal(a, b, err_msg=name)
     x = Tensor(np.random.default_rng(2).normal(size=(2, 2, 5, 5)))
-    np.testing.assert_array_equal(src.eval()(x).data, dst.eval()(x).data)
+    np.testing.assert_array_equal(src.train(False)(x).data, dst.train(False)(x).data)
 
 
 def test_missing_key_named():
@@ -75,6 +79,24 @@ def test_non_finite_value_named_and_nothing_written(bad):
         np.testing.assert_array_equal(value, before[name], err_msg=name)
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("a.weight", np.full((4, 3), 1e39)), ("bn.running_mean", np.zeros(3, dtype=np.complex128))],
+    ids=["float64-overflows-float32", "complex"],
+)
+def test_value_named_by_its_cast_and_nothing_written(key, value):
+    """A value is judged after the cast to its destination's dtype: 1e39 is
+    finite in float64 but inf in float32."""
+    net = Net(0)
+    before = copied_state(net)
+    state = {k: v + 1 for k, v in before.items()}
+    state[key] = value
+    with pytest.raises(ValueError, match=rf"non-real or non-finite values under keys \['{key}'\]"):
+        net.load_state_dict(state)
+    for name, own in net.state_dict().items():
+        np.testing.assert_array_equal(own, before[name], err_msg=name)
+
+
 def test_load_does_not_alias_caller_arrays():
     net = Net(0)
     state = copied_state(Net(1))
@@ -106,7 +128,7 @@ def test_train_and_eval_reach_a_nested_batchnorm():
     h = outer.net.conv(Tensor(np.random.default_rng(5).normal(loc=2.0, size=(2, 2, 5, 5))))
     bn(h)  # a training step moves the running statistics off their initial values
     mean, var = bn.running_mean.copy(), bn.running_var.copy()
-    assert outer.eval() is outer and not outer.net.training and not bn.training
+    assert outer.train(False) is outer and not outer.net.training and not bn.training
     y = bn(h).data  # normalized by the running statistics, which stay as they were
     np.testing.assert_allclose(y, (h.data - mean[:, None, None]) / np.sqrt(var[:, None, None] + bn.eps), rtol=1e-5)
     np.testing.assert_array_equal(bn.running_mean, mean)
@@ -158,17 +180,93 @@ def test_float64_copy_gets_float64_gradients():
         (lambda rng: BatchNorm2d(0), "channels"),
         (lambda rng: BatchNorm2d(-1), "channels"),
         (lambda rng: BatchNorm2d(2.5), "channels"),
-        (lambda rng: BatchNorm2d(4, 1.5), "momentum"),
-        (lambda rng: BatchNorm2d(4, -0.1), "momentum"),
-        (lambda rng: BatchNorm2d(4, 0.1, -1e-5), "eps"),
-        (lambda rng: BatchNorm2d(4, 0.1, 0.0), "eps"),
     ],
     ids=[
         "conv-kernel-0", "conv-kernel-negative", "conv-in-0", "linear-in-0", "linear-out-0",
-        "bn-channels-0", "bn-channels-negative", "bn-channels-float", "bn-momentum-above-1", "bn-momentum-negative",
-        "bn-eps-negative", "bn-eps-0",
+        "bn-channels-0", "bn-channels-negative", "bn-channels-float",
     ],
 )
 def test_constructor_names_a_bad_size(make, name):
     with pytest.raises(ValueError, match=name):
         make(np.random.default_rng(0))
+
+
+def test_a_rebound_buffer_is_what_the_state_dict_sees():
+    bn = BatchNorm2d(2)
+    bn.running_mean = np.full(2, 7.0)
+    assert bn.state_dict()["running_mean"] is bn.running_mean
+    state = copied_state(bn)
+    state["running_mean"] = np.array([1.0, 2.0])
+    bn.load_state_dict(state)
+    np.testing.assert_array_equal(bn.running_mean, [1.0, 2.0])
+
+
+def test_a_parameter_set_to_none_leaves_the_tree():
+    lin = Linear(3, 2, np.random.default_rng(0))
+    lin.bias = None
+    assert [name for name, _ in lin.named_parameters()] == ["weight"]
+    assert list(lin.state_dict()) == ["weight"]
+    lin.load_state_dict({"weight": np.ones((2, 3))})
+    np.testing.assert_array_equal(lin.weight.data, 1.0)
+
+
+class Blocks(Module):
+    def __init__(self, seed):
+        super().__init__()
+        rng = np.random.default_rng(seed)
+        self.blocks = [Linear(3, 3, rng), BatchNorm2d(3)]
+        self.head = Linear(3, 2, rng)
+
+    def __call__(self, x):
+        lin, bn = self.blocks
+        y = bn(T.relu(lin(x)).reshape(2, 3, 1, 1))
+        return self.head(y.reshape(2, 3))
+
+
+def test_a_list_of_modules_is_a_submodule():
+    net = Blocks(0)
+    names = [name for name, _ in net.named_parameters()]
+    assert names == ["blocks.0.weight", "blocks.0.bias", "blocks.1.gamma", "blocks.1.beta", "head.weight", "head.bias"]
+    assert list(net.state_dict()) == names + ["blocks.1.running_mean", "blocks.1.running_var"]
+    x = Tensor(np.random.default_rng(1).normal(size=(2, 3)))
+    net(x).sum().backward()
+    assert all(p.grad is not None for p in net.parameters())
+    net.zero_grad()
+    assert all(p.grad is None for p in net.parameters())
+    assert net.train(False) is net and not any(m.training for m in net.blocks)
+    other = Blocks(1).train(False)
+    other.load_state_dict(copied_state(net))
+    np.testing.assert_array_equal(other(x).data, net(x).data)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [lambda net: [(net.blocks[0], False), (net.blocks[1], True)], lambda net: [net.head, 3], lambda net: [np.zeros(2)], lambda net: []],
+    ids=["tuples-of-modules", "mixed", "arrays", "empty"],
+)
+def test_a_list_of_non_modules_adds_nothing(extra):
+    net, plain = Blocks(0), Blocks(0)
+    net.rounds = extra(net)
+    assert [name for name, _ in net.named_parameters()] == [name for name, _ in plain.named_parameters()]
+    assert list(net.state_dict()) == list(plain.state_dict())
+    assert len(net.parameters()) == 6
+
+
+def test_benchmark_graph_order(monkeypatch):
+    """The clipped step sums the gradient norm over `parameters()` in this
+    order, so another order changes the bits of every step."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from matcher import Matcher
+
+    model = Matcher(load_config(overrides={"image_size": 64}), np.random.default_rng(0))
+    stage = ["conv1.weight", "bn1.gamma", "bn1.beta", "conv2.weight", "bn2.gamma", "bn2.beta"]
+    names = [f"s{k}.{name}" for k in range(1, 6) for name in stage]
+    names += [
+        f"attn{r}_{kind}.{lin}.{p}"
+        for r in (0, 1) for kind in ("self", "cross") for lin in ("q", "k", "v", "merge") for p in ("weight", "bias")
+    ]
+    names += ["proj.weight", "proj.bias", "gate.weight", "gate.bias", "head.weight", "head.bias"]
+    assert len(names) == 68
+    assert [name for name, _ in model.named_parameters()] == names
+    stats = [f"s{k}.bn{i}.running_{s}" for k in range(1, 6) for i in (1, 2) for s in ("mean", "var")]
+    assert list(model.state_dict()) == names + stats
