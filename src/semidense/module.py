@@ -12,11 +12,12 @@ class Parameter(Tensor):
     """A trainable tensor; a module lists these under dotted names.
 
     It holds a float32 copy of `data`, so an in-place step never rewrites
-    the caller's array.
+    the caller's array.  Complex data is a ValueError, as for a `Tensor`.
     """
 
     def __init__(self, data):
-        super().__init__(np.array(data, dtype=np.float32), requires_grad=True)
+        super().__init__(data, requires_grad=True)  # checks the data before the cast
+        self.data = np.array(self.data, dtype=np.float32)
 
 
 def kaiming_normal(rng: np.random.Generator, shape, fan_in: int, gain: float = np.sqrt(2.0)):

@@ -33,11 +33,19 @@ reassigned.  Under `no_grad` no node is made.
 
 Gradient ownership: a leaf owns its `.grad`, a C-contiguous array of its own
 dtype and shape that callers may update in place.  It is None until
-backward first reaches the leaf, which then takes a copy of its gradient,
-and `zero_grad` sets it to None again, which frees it.  An inner node's
-`.grad` is borrowed: it may be a view, a broadcast view or another node's
-gradient, so it is never written in place, and backward sets it to None
-once the node's closure has used it.
+backward first reaches the leaf, and `zero_grad` sets it to None again,
+which frees it.  The first gradient to reach a leaf becomes its `.grad` as
+it is when two things hold: the op made that array for this one input and
+keeps no reference to it (a gradient the op computes, as conv2d, linear,
+batchnorm2d, matmul, mul and the unary ops do, or a sum that broadcasting
+made), and it is a writeable, C-contiguous ndarray of the leaf's dtype.
+Any other array is copied: one an op passes on (the array add hands both
+its inputs, a reshaped, transposed, sliced or broadcast view), or one of
+another dtype.  Later gradients add into the leaf's array in place, and
+setting `.grad` stores a copy.  An inner node's `.grad` is borrowed: it
+may be a view, a broadcast view or another node's gradient, so it is never
+written in place, and backward sets it to None once the node's closure has
+used it.
 
 Allocator policy (process-wide, set once at import): where the C library
 is glibc, every allocation is served from the heap, never from a private
@@ -271,13 +279,17 @@ class Tensor:
     make for their output when recording is on and an input has one.
     `grad` is the node's gradient: a leaf's has the shape and dtype of
     `data` once backward() has reached it, until `zero_grad`; an inner
-    tensor's is None again when backward() returns.
+    tensor's is None again when backward() returns.  It may be set to None,
+    or to a real array of the node's shape, of which the node keeps its own
+    C-contiguous copy in its dtype.  Complex data is a ValueError.
     """
 
     __slots__ = ("_data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
+        if arr.dtype.kind == "c":
+            raise ValueError(f"Tensor: data of dtype {arr.dtype} is non-real; a tensor holds float32 or float64")
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self._data = np.asarray(arr, order="C")  # ascontiguousarray would turn 0-d into (1,)
@@ -306,10 +318,19 @@ class Tensor:
 
     @grad.setter
     def grad(self, value) -> None:
-        if self._node is not None:
-            self._node.grad = value
-        elif value is not None:
-            raise ValueError("cannot set the gradient of a tensor that does not require grad")
+        node = self._node
+        if node is None:
+            if value is not None:
+                raise ValueError("cannot set the gradient of a tensor that does not require grad")
+            return
+        if value is not None:
+            arr = np.asarray(value)
+            if arr.shape != node.shape or arr.dtype.kind not in "biuf":
+                raise ValueError(
+                    f"grad must be None or a real array of shape {node.shape}, got {arr.dtype} of shape {arr.shape}"
+                )
+            value = np.array(arr, dtype=node.dtype, order="C")
+        node.grad = value
 
     @property
     def shape(self):
@@ -395,11 +416,14 @@ class Tensor:
 
 
 def _wrap(other, like: Tensor):
-    """`other` as a Tensor of `like`'s dtype; a finite nonzero scalar or
-    array entry that the cast would turn into inf or zero is a ValueError."""
+    """`other` as a Tensor of `like`'s dtype; a complex operand, or a finite
+    nonzero scalar or array entry that the cast would turn into inf or zero,
+    is a ValueError."""
     if isinstance(other, Tensor):
         return other
     src = np.asarray(other)
+    if src.dtype.kind == "c":
+        raise ValueError(f"an operand of dtype {src.dtype} is non-real; it would lose its imaginary part in {like.dtype}")
     with np.errstate(over="ignore"):  # reported below, not warned about
         arr = src.astype(like.dtype, copy=False)
     if not np.can_cast(src.dtype, arr.dtype):  # only a narrowing cast can break a value
@@ -436,12 +460,13 @@ def backward(loss: Tensor) -> None:
     """Run reverse-mode accumulation from a scalar loss.
 
     Each node's closure runs once, on the sum of the gradients its consumers
-    sent.  A leaf takes its own copy of its first gradient and adds later
-    ones into it; one that backward does not reach keeps the `.grad` it had,
-    None after `zero_grad`.  Inner gradients are borrowed and freed: after
-    backward every inner node, the loss included, has `.grad` None, and the
-    tape is released node by node as it unwinds: a second backward through
-    any of it raises RuntimeError.
+    sent.  A leaf takes its first gradient as it is where its op made that
+    array for it alone, and a copy otherwise (see "Gradient ownership" in
+    the module docstring), and adds later ones into it; one that backward
+    does not reach keeps the `.grad` it had, None after `zero_grad`.  Inner
+    gradients are borrowed and freed: after backward every inner node, the
+    loss included, has `.grad` None, and the tape is released node by node
+    as it unwinds: a second backward through any of it raises RuntimeError.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -470,7 +495,7 @@ def backward(loss: Tensor) -> None:
             if p not in visited:
                 stack.append((p, False))
 
-    _accum(root, np.ones(root.shape, root.dtype))
+    _accum(root, np.ones(root.shape, root.dtype), fresh=True)
     while topo:
         node = topo.pop()  # popped, so a node nobody else holds is freed once used
         fn, g = node.backward, node.grad
@@ -481,22 +506,39 @@ def backward(loss: Tensor) -> None:
             fn(g)
 
 
-def _accum(node: Node | None, g):
+def _accum(node: Node | None, g, fresh: bool = False):
     """Add gradient `g`, summed down to the node's shape where it was broadcast,
-    into `node.grad` under the ownership rule of this module; None is a no-op."""
+    into `node.grad` under the ownership rule of this module; None is a no-op.
+
+    `fresh` says that the closure made `g` for this one input and keeps no
+    reference to it, so a leaf may take it as its own."""
     if node is None:
         return
+    given = g
     g = _unbroadcast(g, node.shape)
-    if node.backward is None:  # a leaf: its own C-contiguous copy, then in place
-        if node.grad is None:
-            node.grad = np.array(g, dtype=node.dtype, order="C")
-        else:
+    if node.backward is None:  # a leaf: owns its first gradient, then adds in place
+        if node.grad is not None:
             node.grad += g
+        elif (
+            (fresh or g is not given)  # a sum that broadcasting made is fresh too
+            and g.__class__ is np.ndarray
+            and g.dtype == node.dtype
+            and g.flags.c_contiguous
+            and g.flags.writeable
+        ):
+            node.grad = g
+        else:
+            node.grad = _leaf_copy(g, node.dtype)
         return
     if g.__class__ is not np.ndarray or g.dtype != node.dtype:
         g = np.asarray(g, dtype=node.dtype)  # 0-d * float gives a numpy scalar
     # borrowed: taken as is, and never added into in place
     node.grad = g if node.grad is None else np.asarray(node.grad + g)
+
+
+def _leaf_copy(g, dtype) -> np.ndarray:
+    """A leaf's own C-contiguous copy of `g` in its dtype."""
+    return np.array(g, dtype=dtype, order="C")
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -541,7 +583,7 @@ def sub(a, b) -> Tensor:
     def bw(g):
         _accum(na, g)
         if nb is not None:
-            _accum(nb, -g)
+            _accum(nb, -g, fresh=True)
 
     return _make(a.data - b.data, (na, nb), bw)
 
@@ -574,9 +616,9 @@ def mul(a, b) -> Tensor:
 
     def bw(g):
         if na is not None:
-            _accum(na, _product(g, bd))
+            _accum(na, _product(g, bd), fresh=True)
         if nb is not None:
-            _accum(nb, _product(g, ad))
+            _accum(nb, _product(g, ad), fresh=True)
 
     return _make(_product(a.data, b.data), (na, nb), bw)
 
@@ -592,7 +634,7 @@ def pow_scalar(a: Tensor, e: float) -> Tensor:
         base = ad
         if e < 1:  # base ** (e - 1) is infinite at a zero base: clamp it to the smallest normal
             base = np.where(ad == 0, np.finfo(ad.dtype).tiny, ad)
-        _accum(na, g * e * base ** (e - 1))
+        _accum(na, g * e * base ** (e - 1), fresh=True)
 
     return _make(ad**e, (na,), bw)
 
@@ -603,7 +645,7 @@ def log(a: Tensor) -> Tensor:
     na, ad = a._node, a.data
 
     def bw(g):
-        _accum(na, g / ad)
+        _accum(na, g / ad, fresh=True)
 
     return _make(np.log(ad), (na,), bw)
 
@@ -624,7 +666,7 @@ def sigmoid(a: Tensor) -> Tensor:
     na = a._node
 
     def bw(g):
-        _accum(na, g * out_data * (1.0 - out_data))
+        _accum(na, g * out_data * (1.0 - out_data), fresh=True)
 
     return _make(out_data, (na,), bw)
 
@@ -633,7 +675,7 @@ def relu(a: Tensor) -> Tensor:
     out_data, na = np.maximum(a.data, 0), a._node
 
     def bw(g):
-        _accum(na, g * (out_data > 0))
+        _accum(na, g * (out_data > 0), fresh=True)
 
     return _make(out_data, (na,), bw)
 
@@ -642,7 +684,7 @@ def clamp_min(a: Tensor, lo: float) -> Tensor:
     na, ad = a._node, a.data
 
     def bw(g):
-        _accum(na, g * (ad >= lo))
+        _accum(na, g * (ad >= lo), fresh=True)
 
     return _make(np.maximum(ad, lo), (na,), bw)
 
@@ -710,7 +752,7 @@ def getitem(a: Tensor, key) -> Tensor:
             np.add.at(ga, key, g)
         else:
             ga[key] = g
-        _accum(na, ga)
+        _accum(na, ga, fresh=True)
 
     return _make(out_data, (na,), bw)
 
@@ -760,9 +802,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if na is not None:
-            _accum(na, np.matmul(g, np.swapaxes(bd, -1, -2)))
+            _accum(na, np.matmul(g, np.swapaxes(bd, -1, -2)), fresh=True)
         if nb is not None:
-            _accum(nb, np.matmul(np.swapaxes(ad, -1, -2), g))
+            _accum(nb, np.matmul(np.swapaxes(ad, -1, -2), g), fresh=True)
 
     return _make(np.matmul(a.data, b.data), (na, nb), bw)
 
@@ -786,12 +828,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     def bw(g):
         if nx is not None:
-            _accum(nx, np.matmul(g, wd))
+            _accum(nx, np.matmul(g, wd), fresh=True)
         if nw is not None:
             g2 = g.reshape(-1, g.shape[-1])
-            _accum(nw, g2.T @ xd.reshape(-1, xd.shape[-1]))
+            _accum(nw, g2.T @ xd.reshape(-1, xd.shape[-1]), fresh=True)
         if nb is not None:
-            _accum(nb, g.reshape(-1, g.shape[-1]).sum(axis=0))
+            _accum(nb, g.reshape(-1, g.shape[-1]).sum(axis=0), fresh=True)
 
     return _make(out_data, (nx, nw, nb), bw)
 
@@ -894,7 +936,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
             gxs *= ys
 
         _split(pre, 3 * gx.nbytes, grad, grain=2)
-        _accum(nx, gx)
+        _accum(nx, gx, fresh=True)
 
     return _make(out_data, (nx,), bw)
 
@@ -913,7 +955,7 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-8) -> Tensor:
         # unit-norm branch also removes the radial component
         proj = (g * out_data).sum(axis=axis, keepdims=True)
         gx_full = (g - out_data * proj) / d
-        _accum(nx, np.where(clamped, gx, gx_full))
+        _accum(nx, np.where(clamped, gx, gx_full), fresh=True)
 
     return _make(out_data, (nx,), bw)
 
@@ -1078,9 +1120,9 @@ def conv2d(
                 np.matmul(w2.T, gyb, out=mat)  # the patch gradient overwrites the patches
                 _split(n, block_bytes(r0, r1), lambda s: _col2im(gx[s], cols[s], stride, padding, r0))
         if gw is not None:
-            _accum(nw, gw.reshape(nw.shape))
+            _accum(nw, gw.reshape(nw.shape), fresh=True)
         if gx is not None:
-            _accum(nx, gx)
+            _accum(nx, gx, fresh=True)
 
     return _make(out_data, (nx, nw), bw)
 
@@ -1177,10 +1219,10 @@ def batchnorm2d(
                 np.multiply(gs, per_channel(gd[s] * inv_std[s]), out=bs)
 
         _split(c, xd.nbytes + 2 * buf.nbytes, channels, grain=2)
-        _accum(ngamma, g_xhat)
-        _accum(nbeta, g_sum)
+        _accum(ngamma, g_xhat, fresh=True)
+        _accum(nbeta, g_sum, fresh=True)
         if nx is not None:
-            _accum(nx, buf)
+            _accum(nx, buf, fresh=True)
 
     return _make(out_data, (nx, ngamma, nbeta), bw)
 
@@ -1213,6 +1255,6 @@ def bilinear_upsample2x(x: Tensor) -> Tensor:
     nx = x._node
 
     def bw(g):
-        _accum(nx, uh.T @ g @ uw)
+        _accum(nx, uh.T @ g @ uw, fresh=True)
 
     return _make(uh @ x.data @ uw.T, (nx,), bw)

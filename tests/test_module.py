@@ -147,6 +147,15 @@ def test_parameter_copies_its_input():
     p.data -= 1.0  # an in-place step leaves the caller's array alone
     np.testing.assert_array_equal(a, 0.0)
     assert np.shares_memory(Tensor(a).data, a)  # plain tensors still wrap without a copy
+    for data in (np.arange(3.0), [1, 2, 3]):
+        p = Parameter(data)
+        assert p.dtype == np.float32 and p._node.dtype == np.float32
+        np.testing.assert_array_equal(p.data, np.asarray(data, np.float32))
+
+
+def test_parameter_rejects_complex_data_naming_the_dtype():
+    with pytest.raises(ValueError, match="dtype complex128 is non-real"):
+        Parameter(np.array([1 + 2j, 3.0]))
 
 
 def test_zero_grad_releases_every_parameter_gradient():

@@ -138,7 +138,7 @@ class TestConv2d:
         self.rows_per_block(monkeypatch, x, kernel, ow, 2)
         r = rng.standard_normal((2, 4, oh, ow)).astype(dtype)
         sent, accum = [], T._accum
-        monkeypatch.setattr(T, "_accum", lambda node, g: (sent.append((node, g)), accum(node, g)))
+        monkeypatch.setattr(T, "_accum", lambda node, g, **kw: (sent.append((node, g)), accum(node, g, **kw)))
 
         def run(a, pad):
             leaf, wt = Tensor(a, requires_grad=True), Tensor(w, requires_grad=True)
@@ -738,6 +738,98 @@ class TestGradientOwnership:
             t.sum().backward()
         assert a.grad is None
 
+    @staticmethod
+    def record(monkeypatch):
+        """Record each (node, gradient) sent to `_accum` and the shape of each leaf copy."""
+        sent, copies = [], []
+        accum, copy = T._accum, T._leaf_copy
+        monkeypatch.setattr(T, "_accum", lambda node, g, **kw: (sent.append((node, g)), accum(node, g, **kw)))
+        monkeypatch.setattr(T, "_leaf_copy", lambda g, dtype: (copies.append(g.shape), copy(g, dtype))[1])
+        return sent, copies
+
+    def test_a_weight_used_twice_adopts_the_first_gradient_and_adds_the_second(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        x1, x2 = rng.standard_normal((5, 3), dtype=np.float32), rng.standard_normal((5, 3), dtype=np.float32)
+        r = rng.standard_normal((5, 4), dtype=np.float32)
+        w = Tensor(rng.standard_normal((4, 3), dtype=np.float32), requires_grad=True)
+        b = Tensor(np.zeros(4, np.float32), requires_grad=True)
+        sent, copies = self.record(monkeypatch)
+        ((T.linear(Tensor(x1), w, b) + T.linear(Tensor(x2), w, b)) * r).sum().backward()
+        first = next(g for node, g in sent if node is w._node)
+        assert w.grad is first and not copies  # the first is taken as it is, the second added into it
+        np.testing.assert_array_equal(w.grad, r.T @ x1 + r.T @ x2)
+        np.testing.assert_array_equal(b.grad, 2 * r.sum(axis=0))
+        assert not np.shares_memory(w.grad, b.grad)
+
+    def test_pass_through_gradients_are_copied(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        a, b, c, d, e = (Tensor(rng.standard_normal((2, 3)), requires_grad=True) for _ in range(5))
+        r1, r2, r3 = rng.standard_normal((2, 3)), rng.standard_normal(6), rng.standard_normal((2, 6))
+        sent, copies = self.record(monkeypatch)
+        # add hands both leaves one array, reshape a view, concat a slice each
+        loss = ((a + b) * r1).sum() + (c.reshape(6) * r2).sum() + (T.concat([d, e], axis=1) * r3).sum()
+        loss.backward()
+        leaves = (a, b, c, d, e)
+        assert len(copies) == len(leaves)
+        for i, t in enumerate(leaves):
+            assert t.grad.flags.c_contiguous and t.grad.flags.writeable
+            assert not any(np.shares_memory(t.grad, g) for _, g in sent)
+            assert not any(np.shares_memory(t.grad, u.grad) for u in leaves[i + 1 :])
+        for t, expected in zip(leaves, (r1, r1, r2.reshape(2, 3), r3[:, :3], r3[:, 3:])):
+            np.testing.assert_array_equal(t.grad, expected)
+
+    def test_a_gradient_of_another_dtype_is_copied_into_the_leaf_dtype(self, monkeypatch):
+        p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        node = p._node
+        g32 = np.array([0.5, -1.5], np.float32)
+        sent, copies = self.record(monkeypatch)
+        # a float32 node whose closure hands the float64 leaf a new float32 array
+        t = T._make(np.array(3.0, np.float32), (node,), lambda g: T._accum(node, g32.copy(), fresh=True))
+        t.backward()
+        assert copies == [(2,)]
+        assert p.grad.dtype == np.float64 and not np.shares_memory(p.grad, sent[-1][1])
+        np.testing.assert_array_equal(p.grad, [0.5, -1.5])
+
+    def test_an_adopted_gradient_survives_zero_grad_and_a_second_backward(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        x = rng.standard_normal((5, 3), dtype=np.float32)
+        r1, r2 = rng.standard_normal((5, 4), dtype=np.float32), rng.standard_normal((5, 4), dtype=np.float32)
+        w = Tensor(rng.standard_normal((4, 3), dtype=np.float32), requires_grad=True)
+        sent, copies = self.record(monkeypatch)
+        (T.linear(Tensor(x), w) * r1).sum().backward()
+        first = w.grad
+        assert first is sent[-1][1]
+        w.zero_grad()
+        (T.linear(Tensor(x), w) * r2).sum().backward()
+        assert not copies and w.grad is not first
+        np.testing.assert_array_equal(first, r1.T @ x)
+        np.testing.assert_array_equal(w.grad, r2.T @ x)
+        w.grad += 1.0  # the leaf owns its gradient: writing it leaves the first alone
+        np.testing.assert_array_equal(first, r1.T @ x)
+
+    def test_grad_setter_keeps_its_own_copy_in_the_node_dtype(self):
+        x = Tensor(np.zeros(3, np.float32), requires_grad=True)
+        given = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])[::2]  # a float64 view of stride 2
+        x.grad = given
+        assert x.grad.dtype == np.float32 and x.grad.flags.c_contiguous and not np.shares_memory(x.grad, given)
+        given[0] = 9.0
+        (x * 2.0).sum().backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 5.0, 7.0])
+        x.grad = [1, 2, 3]
+        assert x.grad.dtype == np.float32
+
+    @pytest.mark.parametrize(
+        "value,given",
+        [([1, 2], "int64 of shape (2,)"), (np.ones((3, 1)), "float64 of shape (3, 1)"), (2.0, "float64 of shape ()"),
+         (np.ones(3, np.complex64), "complex64 of shape (3,)"), ("abc", "<U3 of shape ()")],
+        ids=["short-list", "column", "scalar", "complex", "string"],
+    )
+    def test_grad_setter_rejects_another_shape_or_a_non_real_array(self, value, given):
+        x = Tensor(np.zeros(3, np.float32), requires_grad=True)
+        with pytest.raises(ValueError, match=re.escape(f"a real array of shape (3,), got {given}")):
+            x.grad = value
+        assert x.grad is None
+
 
 def test_tape_keeps_only_the_outputs():
     """conv -> batchnorm -> relu holds the conv and relu outputs and little else:
@@ -966,6 +1058,29 @@ class TestScalarOperands:
         assert ((x * 1e-40).data > 0).all()  # subnormal in float32, but not zero
         assert np.isinf((x * np.inf).data).all()
         assert (x * 0.0).data.tolist() == [0.0, 0.0]
+
+
+class TestComplexValues:
+    """A complex value is an error, not a cast that drops its imaginary part."""
+
+    @pytest.mark.parametrize("data", [np.array([1 + 2j]), np.array([1.0, 2.0], np.complex64), [1j, 2.0], 3j])
+    def test_constructor_names_the_dtype(self, data):
+        with pytest.raises(ValueError, match=f"dtype {np.asarray(data).dtype} is non-real"):
+            Tensor(data)
+
+    @pytest.mark.parametrize("op", [T.mul, T.add, T.sub])
+    def test_scalar_operand_names_the_dtype(self, op):
+        x = Tensor(np.ones(2, np.float32))
+        for operands in ((x, 1 + 2j), (1 + 2j, x), (x, np.complex64(1.0))):
+            with pytest.raises(ValueError, match="an operand of dtype complex(128|64) is non-real"):
+                op(*operands)
+
+    @pytest.mark.parametrize("op", [T.mul, T.add, T.sub])
+    def test_array_operand_names_the_dtype(self, op):
+        x = Tensor(np.ones((2, 2)))
+        for operands in ((x, np.array([1j, 2.0])), (np.array([1.0, 2.0], np.complex64), x)):
+            with pytest.raises(ValueError, match="an operand of dtype complex(128|64) is non-real; it would lose its imaginary part in float64"):
+                op(*operands)
 
 
 class TestArithmeticWithArrays:
