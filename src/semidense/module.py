@@ -12,12 +12,13 @@ class Parameter(Tensor):
     """A trainable tensor; a module lists these under dotted names.
 
     It holds a float32 copy of `data`, so an in-place step never rewrites
-    the caller's array.  Complex data is a ValueError, as for a `Tensor`.
+    the caller's array.  Data that are not real numbers are a ValueError,
+    as for a `Tensor`, and so is an entry that float32 would turn into inf
+    or zero.
     """
 
     def __init__(self, data):
-        super().__init__(data, requires_grad=True)  # checks the data before the cast
-        self.data = np.array(self.data, dtype=np.float32)
+        super().__init__(T._fit(data, np.float32, "Parameter data"), requires_grad=True)
 
 
 def kaiming_normal(rng: np.random.Generator, shape, fan_in: int, gain: float = np.sqrt(2.0)):
@@ -110,7 +111,7 @@ class Module:
 
 
 class Linear(Module):
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator, gain: float = np.sqrt(2.0)):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator, gain: float):
         _check_sizes("Linear", in_features=in_features, out_features=out_features)
         self.weight = Parameter(kaiming_normal(rng, (out_features, in_features), in_features, gain))
         self.bias = Parameter(np.zeros(out_features, dtype=np.float32))
@@ -129,7 +130,8 @@ class Conv2d(Module):
         kernel_size: int,
         rng: np.random.Generator,
         stride: int = 1,
-        padding: int = 0,
+        *,
+        padding: int,
     ):
         T._conv_args_check(stride, padding)
         _check_sizes("Conv2d", in_channels=in_channels, out_channels=out_channels, kernel_size=kernel_size)
@@ -150,11 +152,10 @@ class BatchNorm2d(Module):
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
         self.momentum = 0.1  # an attribute, so that a calibration pass can set it to 1
-        self.eps = 1e-5
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.batchnorm2d(
             x, self.running_mean, self.running_var, self.gamma, self.beta,
-            training=self.training, momentum=self.momentum, eps=self.eps,
+            training=self.training, momentum=self.momentum,
         )
 

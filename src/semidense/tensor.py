@@ -272,26 +272,26 @@ class Node:
 class Tensor:
     """A dense nd-array and, when it requires grad, its graph `Node`.
 
-    `data` is a float32 or float64 numpy array.  The constructor stores a
-    C-contiguous array, but an op's output may be a strided view of its
-    input (`transpose`, basic-slice indexing); every op accepts either.
-    `requires_grad` is True exactly when the tensor has a node, which ops
-    make for their output when recording is on and an input has one.
-    `grad` is the node's gradient: a leaf's has the shape and dtype of
-    `data` once backward() has reached it, until `zero_grad`; an inner
-    tensor's is None again when backward() returns.  It may be set to None,
+    `data` is a float32 or float64 numpy array: the constructor casts other
+    real data to float32, and other data (complex, None) are a ValueError,
+    as is setting `data` to anything but such an array.  The constructor
+    stores a C-contiguous array, but an op's output may be a strided view
+    of its input (`transpose`, basic-slice indexing); every op accepts
+    either.  `requires_grad` is True exactly when the tensor has a node,
+    which ops make for their output when recording is on and an input has
+    one.  `grad` is the node's gradient: a leaf's has the shape and dtype of
+    `data` once `backward(loss)` has reached it, until `zero_grad`; an inner
+    tensor's is None again when `backward` returns.  It may be set to None,
     or to a real array of the node's shape, of which the node keeps its own
-    C-contiguous copy in its dtype.  Complex data is a ValueError.
+    C-contiguous copy in its dtype.
     """
 
     __slots__ = ("_data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if arr.dtype.kind == "c":
-            raise ValueError(f"Tensor: data of dtype {arr.dtype} is non-real; a tensor holds float32 or float64")
         if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float32)
+            arr = _fit(arr, np.float32, "Tensor data")
         self._data = np.asarray(arr, order="C")  # ascontiguousarray would turn 0-d into (1,)
         self._node = Node(None, (), arr.shape, arr.dtype) if requires_grad else None
 
@@ -303,6 +303,9 @@ class Tensor:
 
     @data.setter
     def data(self, value: np.ndarray) -> None:
+        if not isinstance(value, np.ndarray) or value.dtype not in (np.float32, np.float64):
+            got = f"an array of dtype {value.dtype}" if isinstance(value, np.ndarray) else f"a {type(value).__name__}"
+            raise ValueError(f"Tensor.data must be a float32 or float64 ndarray, got {got}")
         self._data = value
         node = self._node
         if node is not None and node.backward is None:  # a leaf's gradient follows its data
@@ -337,16 +340,8 @@ class Tensor:
         return self._data.shape
 
     @property
-    def ndim(self):
-        return self._data.ndim
-
-    @property
     def dtype(self):
         return self._data.dtype
-
-    @property
-    def size(self):
-        return self._data.size
 
     def item(self) -> float:
         return self.data.item()
@@ -361,17 +356,10 @@ class Tensor:
     def __len__(self):
         return len(self.data)
 
-    # -- autodiff ---------------------------------------------------------
-
-    def backward(self) -> None:
-        backward(self)
-
     # -- operators ----------------------------------------------------------
 
     def __add__(self, other):
         return add(self, other)
-
-    __radd__ = __add__
 
     def __sub__(self, other):
         return sub(self, other)
@@ -381,11 +369,6 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __pow__(self, e):
         return pow_scalar(self, e)
@@ -398,41 +381,46 @@ class Tensor:
 
     # -- method sugar -------------------------------------------------------
 
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis, keepdims)
+    def sum(self, axis=None):
+        return tsum(self, axis)
 
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis, keepdims)
+    def mean(self):
+        return tmean(self)
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         return reshape(self, shape)
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes if axes else None)
+        return transpose(self, axes)
 
 
-def _wrap(other, like: Tensor):
-    """`other` as a Tensor of `like`'s dtype; a complex operand, or a finite
-    nonzero scalar or array entry that the cast would turn into inf or zero,
-    is a ValueError."""
-    if isinstance(other, Tensor):
-        return other
-    src = np.asarray(other)
+def _fit(value, dtype, name: str) -> np.ndarray:
+    """A copy of `value` cast to `dtype`.
+
+    Data that are not real numbers (complex, objects such as None, strings)
+    are a ValueError naming their dtype, and a finite nonzero scalar or
+    array entry that the cast would turn into inf or zero one naming the
+    entry; `name` says whose data they are.
+    """
+    src = np.asarray(value)
     if src.dtype.kind == "c":
-        raise ValueError(f"an operand of dtype {src.dtype} is non-real; it would lose its imaginary part in {like.dtype}")
+        raise ValueError(f"{name} of dtype {src.dtype} is non-real; it would lose its imaginary part in {np.dtype(dtype)}")
+    if src.dtype.kind not in "biuf":
+        raise ValueError(f"{name} of dtype {src.dtype} is not numeric; a tensor holds float32 or float64")
     with np.errstate(over="ignore"):  # reported below, not warned about
-        arr = src.astype(like.dtype, copy=False)
+        arr = src.astype(dtype)
     if not np.can_cast(src.dtype, arr.dtype):  # only a narrowing cast can break a value
         broken = np.isfinite(src) & (src != 0) & ~(np.isfinite(arr) & (arr != 0))
         if broken.any():
             at = tuple(np.argwhere(broken)[0].tolist())
-            what = f"entry {at} of the array, {src[at].item()!r}," if src.ndim else f"scalar {other!r}"
-            raise ValueError(f"{what} does not fit {like.dtype}: it would become {arr[at].item()!r}")
-    return Tensor(arr)
+            what = f"entry {at} of the array, {src[at].item()!r}," if src.ndim else f"scalar {src.item()!r}"
+            raise ValueError(f"{name}: {what} does not fit {arr.dtype}: it would become {arr[at].item()!r}")
+    return arr
+
+
+def _wrap(other, like: Tensor):
+    """`other` as a Tensor of `like`'s dtype, checked by `_fit`."""
+    return other if isinstance(other, Tensor) else Tensor(_fit(other, like.dtype, "an operand"))
 
 
 _RELEASED = "comes from a graph that backward() has released; run the forward pass again"
@@ -561,9 +549,7 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a = _wrap(a, b)
+def add(a: Tensor, b) -> Tensor:
     b = _wrap(b, a)
     na, nb = a._node, b._node
 
@@ -605,9 +591,7 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def mul(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a = _wrap(a, b)
+def mul(a: Tensor, b) -> Tensor:
     b = _wrap(b, a)
     na, nb = a._node, b._node
     # each side's gradient reads the other side's data
@@ -694,30 +678,25 @@ def clamp_min(a: Tensor, lo: float) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    """Sum over `axis` (an int or a tuple of ints), or over all values."""
+    out_data = a.data.sum(axis=axis)
     out_data = np.asarray(out_data, dtype=a.dtype)
     na = a._node
 
     def bw(g):
-        gg = np.asarray(g)
-        if axis is not None and not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            gg = np.expand_dims(gg, axes)
+        gg = np.asarray(g) if axis is None else np.expand_dims(g, axis)
         _accum(na, np.broadcast_to(gg, na.shape))
 
     return _make(out_data, (na,), bw)
 
 
-def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    if axis is None:
-        n = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = math.prod(a.data.shape[ax] for ax in axes)
+def tmean(a: Tensor) -> Tensor:
+    """Mean of all values."""
+    n = a.data.size
     if not n:
-        raise ValueError(f"mean over no values: input shape {a.data.shape}, axis {axis}")
-    return mul(tsum(a, axis, keepdims), 1.0 / n)
+        raise ValueError(f"mean over no values: input shape {a.data.shape}")
+    return mul(tsum(a), 1.0 / n)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -729,11 +708,11 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(a.data.reshape(shape), (na,), bw)
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
+def transpose(a: Tensor, axes) -> Tensor:
     na = a._node
 
     def bw(g):  # axes of mixed sign sort into the inverse only once counted from the front
-        _accum(na, g.transpose(None if axes is None else np.argsort([ax % g.ndim for ax in axes])))
+        _accum(na, g.transpose(np.argsort([ax % g.ndim for ax in axes])))
 
     return _make(a.data.transpose(axes), (na,), bw)
 
@@ -809,21 +788,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(np.matmul(a.data, b.data), (na, nb), bw)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map over the last dimension: y = x @ weight.T + bias."""
     if x.data.shape[-1] != weight.data.shape[1]:
         raise ValueError(
             f"linear: input last dim {x.data.shape[-1]} != weight in dim {weight.data.shape[1]}"
         )
-    if bias is not None and bias.data.shape != weight.data.shape[:1]:
+    if bias.data.shape != weight.data.shape[:1]:
         raise ValueError(
             f"linear: bias has shape {bias.data.shape}, but the weight has {weight.data.shape[0]} output features"
         )
     wd = weight.data
-    out_data = np.matmul(x.data, wd.T)
-    if bias is not None:
-        out_data = out_data + bias.data
-    nx, nw, nb = x._node, weight._node, None if bias is None else bias._node
+    out_data = np.matmul(x.data, wd.T) + bias.data
+    nx, nw, nb = x._node, weight._node, bias._node
     xd = x.data if nw is not None else None  # read by the weight gradient only
 
     def bw(g):
@@ -941,19 +918,17 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make(out_data, (nx,), bw)
 
 
-def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-8) -> Tensor:
-    """Scale slices along `axis` to unit L2 norm (1/eps scaling below eps)."""
-    if eps <= 0:
-        raise ValueError("l2_normalize eps must be positive")
-    n = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True))
-    d = np.maximum(n, eps)
+def l2_normalize(x: Tensor) -> Tensor:
+    """Scale slices along the last axis to unit L2 norm (by 1e8 below a norm of 1e-8)."""
+    n = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
+    d = np.maximum(n, 1e-8)
     out_data, nx = x.data / d, x._node
 
     def bw(g):
-        clamped = n < eps
+        clamped = n < d
         gx = g / d
         # unit-norm branch also removes the radial component
-        proj = (g * out_data).sum(axis=axis, keepdims=True)
+        proj = (g * out_data).sum(axis=-1, keepdims=True)
         gx_full = (g - out_data * proj) / d
         _accum(nx, np.where(clamped, gx, gx_full), fresh=True)
 
@@ -1024,12 +999,7 @@ def _col2im(gx, gcols, stride, padding, r0):
             gx[:, :, y : y + stride * (b - a) : stride, z : z + stride * (f - e) : stride] += gcols[:, :, i, j, a:b, e:f]
 
 
-def conv2d(
-    x: Tensor,
-    weight: Tensor,
-    stride: int = 1,
-    padding: int = 0,
-) -> Tensor:
+def conv2d(x: Tensor, weight: Tensor, stride: int = 1, *, padding: int) -> Tensor:
     """2-D cross-correlation over NCHW input with OIHW weights.
 
     One im2col-GEMM path serves every stride and padding, each GEMM a 2-D
@@ -1135,9 +1105,8 @@ def batchnorm2d(
     beta: Tensor,
     training: bool,
     momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
-    """Per-channel batch normalization over NCHW.
+    """Per-channel batch normalization over NCHW, with eps 1e-5.
 
     Training normalizes by biased batch statistics and updates the running
     buffers in place with the unbiased variance; eval uses the buffers and
@@ -1164,7 +1133,7 @@ def batchnorm2d(
         mean, var, inv_std = np.empty(c, xd.dtype), np.empty(c, dtype), np.empty(c, dtype)
         squares = np.empty(xd.shape, dtype)
     else:
-        mean, var_eps = running_mean.astype(xd.dtype), running_var.astype(xd.dtype) + eps
+        mean, var_eps = running_mean.astype(xd.dtype), running_var.astype(xd.dtype) + 1e-5
         if not (var_eps > 0).all():
             k = int(np.argmin(var_eps > 0))
             raise ValueError(f"batchnorm2d: running_var + eps must be positive, channel {k} has {var_eps[k].item()!r}")
@@ -1178,7 +1147,7 @@ def batchnorm2d(
             mean[s] = xs.mean(axis=axes)
             np.subtract(xs, per_channel(mean[s]), out=out, dtype=dtype)  # the centred copy becomes the output
             var[s] = np.square(out, out=squares[:, s]).mean(axis=axes)  # biased
-            inv_std[s] = 1.0 / np.sqrt(var[s] + eps)
+            inv_std[s] = 1.0 / np.sqrt(var[s] + 1e-5)
             # gamma is not folded into inv_std, so the output rounds as x_hat * gamma + beta
             out *= per_channel(inv_std[s])
             out *= per_channel(gd[s])

@@ -3,6 +3,7 @@ in-place copies that never alias the caller's arrays, and batchnorm buffers;
 of train/eval mode reaching every nested module; and of the tree being what
 the attributes hold now, lists of modules included."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +21,11 @@ class Net(Module):
         rng = np.random.default_rng(seed)
         self.conv = Conv2d(2, 3, 3, rng, padding=1)
         self.bn = BatchNorm2d(3)
-        self.a = Linear(3, 4, rng)
+        self.a = Linear(3, 4, rng, gain=1.0)
 
     def __call__(self, x):
         y = T.relu(self.bn(self.conv(x)))
-        return self.a(y.mean(axis=(2, 3)))
+        return self.a(y.sum(axis=(2, 3)))
 
 
 def copied_state(net):
@@ -130,7 +131,7 @@ def test_train_and_eval_reach_a_nested_batchnorm():
     mean, var = bn.running_mean.copy(), bn.running_var.copy()
     assert outer.train(False) is outer and not outer.net.training and not bn.training
     y = bn(h).data  # normalized by the running statistics, which stay as they were
-    np.testing.assert_allclose(y, (h.data - mean[:, None, None]) / np.sqrt(var[:, None, None] + bn.eps), rtol=1e-5)
+    np.testing.assert_allclose(y, (h.data - mean[:, None, None]) / np.sqrt(var[:, None, None] + 1e-5), rtol=1e-5)
     np.testing.assert_array_equal(bn.running_mean, mean)
     np.testing.assert_array_equal(bn.running_var, var)
     assert outer.train() is outer and bn.training
@@ -158,10 +159,21 @@ def test_parameter_rejects_complex_data_naming_the_dtype():
         Parameter(np.array([1 + 2j, 3.0]))
 
 
+@pytest.mark.parametrize(
+    "data,entry,value,becomes",
+    [([1e300], "(0,)", 1e300, "inf"), ([[1.0, -1e-50]], "(0, 1)", -1e-50, "-0.0")],
+    ids=["overflow", "underflow"],
+)
+def test_parameter_rejects_an_entry_that_float32_breaks_naming_it(data, entry, value, becomes):
+    message = f"Parameter data: entry {entry} of the array, {value!r}, does not fit float32: it would become {becomes}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Parameter(np.array(data))
+
+
 def test_zero_grad_releases_every_parameter_gradient():
     net = Net(0)
     x = Tensor(np.random.default_rng(3).normal(size=(2, 2, 5, 5)).astype(np.float32))
-    net(x).sum().backward()
+    T.backward(net(x).sum())
     assert all(p.grad is not None for p in net.parameters())
     net.zero_grad()
     assert all(p.grad is None for p in net.parameters())
@@ -173,7 +185,7 @@ def test_float64_copy_gets_float64_gradients():
     net = Net(0)
     for p in net.parameters():
         p.data = p.data.astype(np.float64)
-    net(Tensor(np.random.default_rng(4).normal(size=(2, 2, 5, 5)))).sum().backward()
+    T.backward(net(Tensor(np.random.default_rng(4).normal(size=(2, 2, 5, 5)))).sum())
     for name, p in net.named_parameters():
         assert p.grad.dtype == np.float64 and p.grad.shape == p.shape, name
 
@@ -181,11 +193,11 @@ def test_float64_copy_gets_float64_gradients():
 @pytest.mark.parametrize(
     "make,name",
     [
-        (lambda rng: Conv2d(4, 4, 0, rng), "kernel_size"),
-        (lambda rng: Conv2d(4, 4, -1, rng), "kernel_size"),
-        (lambda rng: Conv2d(0, 4, 3, rng), "in_channels"),
-        (lambda rng: Linear(0, 3, rng), "in_features"),
-        (lambda rng: Linear(3, 0, rng), "out_features"),
+        (lambda rng: Conv2d(4, 4, 0, rng, padding=1), "kernel_size"),
+        (lambda rng: Conv2d(4, 4, -1, rng, padding=1), "kernel_size"),
+        (lambda rng: Conv2d(0, 4, 3, rng, padding=1), "in_channels"),
+        (lambda rng: Linear(0, 3, rng, gain=1.0), "in_features"),
+        (lambda rng: Linear(3, 0, rng, gain=1.0), "out_features"),
         (lambda rng: BatchNorm2d(0), "channels"),
         (lambda rng: BatchNorm2d(-1), "channels"),
         (lambda rng: BatchNorm2d(2.5), "channels"),
@@ -211,7 +223,7 @@ def test_a_rebound_buffer_is_what_the_state_dict_sees():
 
 
 def test_a_parameter_set_to_none_leaves_the_tree():
-    lin = Linear(3, 2, np.random.default_rng(0))
+    lin = Linear(3, 2, np.random.default_rng(0), gain=1.0)
     lin.bias = None
     assert [name for name, _ in lin.named_parameters()] == ["weight"]
     assert list(lin.state_dict()) == ["weight"]
@@ -223,8 +235,8 @@ class Blocks(Module):
     def __init__(self, seed):
         super().__init__()
         rng = np.random.default_rng(seed)
-        self.blocks = [Linear(3, 3, rng), BatchNorm2d(3)]
-        self.head = Linear(3, 2, rng)
+        self.blocks = [Linear(3, 3, rng, gain=1.0), BatchNorm2d(3)]
+        self.head = Linear(3, 2, rng, gain=1.0)
 
     def __call__(self, x):
         lin, bn = self.blocks
@@ -238,7 +250,7 @@ def test_a_list_of_modules_is_a_submodule():
     assert names == ["blocks.0.weight", "blocks.0.bias", "blocks.1.gamma", "blocks.1.beta", "head.weight", "head.bias"]
     assert list(net.state_dict()) == names + ["blocks.1.running_mean", "blocks.1.running_var"]
     x = Tensor(np.random.default_rng(1).normal(size=(2, 3)))
-    net(x).sum().backward()
+    T.backward(net(x).sum())
     assert all(p.grad is not None for p in net.parameters())
     net.zero_grad()
     assert all(p.grad is None for p in net.parameters())

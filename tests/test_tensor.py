@@ -142,9 +142,9 @@ class TestConv2d:
 
         def run(a, pad):
             leaf, wt = Tensor(a, requires_grad=True), Tensor(w, requires_grad=True)
-            xin = leaf.reshape(a.shape)  # an inner node: it takes conv2d's input gradient as it is
+            xin = leaf.reshape(*a.shape)  # an inner node: it takes conv2d's input gradient as it is
             y = T.conv2d(xin, wt, stride=stride, padding=pad)
-            (y * r).sum().backward()
+            T.backward((y * r).sum())
             return y.data, next(g for node, g in sent if node is xin._node), wt.grad
 
         y, gx, gw = run(x, padding)
@@ -184,7 +184,7 @@ class TestConv2d:
         def run():
             ts = [Tensor(a, requires_grad=True) for a in (x, w)]
             y = T.conv2d(*ts, stride=stride, padding=1)
-            (y * y).sum().backward()
+            T.backward((y * y).sum())
             return [y.data] + [t.grad for t in ts]
 
         one = run()  # the default cap holds this layer in one block
@@ -226,7 +226,7 @@ class TestConv2d:
             self.rows_per_block(monkeypatch, xs, 3, ow, 4)
             ts = [Tensor(a, requires_grad=True) for a in (xs, w)]
             y = T.conv2d(*ts, stride=stride, padding=1)
-            (y * y).sum().backward()
+            T.backward((y * y).sum())
             return [y.data] + [t.grad for t in ts]
 
         y, gx, gw = run(x)
@@ -246,7 +246,7 @@ class TestConv2d:
         y = T.conv2d(x, w, stride=stride, padding=padding)
         oh, ow = (5 + 2 * padding - 3) // stride + 1, (6 + 2 * padding - 3) // stride + 1
         assert y.shape == (0, 4, oh, ow) and y.dtype == np.float32
-        y.sum().backward()
+        T.backward(y.sum())
         assert x.grad.shape == (0, 3, 5, 6)
         assert w.grad.shape == (4, 3, 3, 3) and not w.grad.any()
 
@@ -274,18 +274,18 @@ class TestConv2d:
         with pytest.raises(ValueError, match="kernel"):
             T.conv2d(x, Tensor(np.zeros((4, 3, 7, 7))), padding=0)
         with pytest.raises(ValueError, match="input channels"):
-            T.conv2d(x, Tensor(np.zeros((4, 2, 3, 3))))
+            T.conv2d(x, Tensor(np.zeros((4, 2, 3, 3))), padding=0)
 
 
 @pytest.mark.parametrize(
     "build,name",
     [
-        (lambda x, w: T.conv2d(x, w, stride=0), "stride"),
-        (lambda x, w: T.conv2d(x, w, stride=-1), "stride"),
-        (lambda x, w: T.conv2d(x, w, stride=1.0), "stride"),
+        (lambda x, w: T.conv2d(x, w, stride=0, padding=0), "stride"),
+        (lambda x, w: T.conv2d(x, w, stride=-1, padding=0), "stride"),
+        (lambda x, w: T.conv2d(x, w, stride=1.0, padding=0), "stride"),
         (lambda x, w: T.conv2d(x, w, padding=-1), "padding"),
         (lambda x, w: T.conv2d(x, w, padding="1"), "padding"),
-        (lambda x, w: Conv2d(4, 4, 3, np.random.default_rng(0), stride=0), "stride"),
+        (lambda x, w: Conv2d(4, 4, 3, np.random.default_rng(0), stride=0, padding=1), "stride"),
         (lambda x, w: BatchNorm2d(4)(Tensor(np.ones((2, 4), np.float32))), "NCHW"),
         (lambda x, w: BatchNorm2d(4)(Tensor(np.ones((1, 4, 2, 2, 2), np.float32))), "NCHW"),
     ],
@@ -302,11 +302,11 @@ class TestLinear:
     def test_identity(self):
         x = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
         w = Tensor(np.eye(3))
-        y = T.linear(x, w)
+        y = T.linear(x, w, Tensor(np.zeros(3)))
         np.testing.assert_allclose(y.data, x.data)
 
     def test_hand_sum(self):
-        y = T.linear(Tensor(np.array([2.0, 3.0])), Tensor(np.array([[1.0, 1.0]])))
+        y = T.linear(Tensor(np.array([2.0, 3.0])), Tensor(np.array([[1.0, 1.0]])), Tensor(np.zeros(1)))
         np.testing.assert_allclose(y.data, [5.0])
 
     def test_matches_matmul_oracle(self):
@@ -320,7 +320,7 @@ class TestLinear:
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="last dim"):
-            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)))
 
     @pytest.mark.parametrize("shape", [(1,), (5,), (4, 1), ()], ids=["one", "too-many", "2-d", "0-d"])
     def test_bias_must_have_one_value_per_output_and_is_named(self, shape):
@@ -393,7 +393,7 @@ class TestBatchNorm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # refused before any sqrt warns
             with pytest.raises(ValueError, match=r"running_var \+ eps must be positive, channel 1 has"):
-                T.batchnorm2d(*args, training=False, eps=1e-5)
+                T.batchnorm2d(*args, training=False)
 
     @pytest.mark.parametrize("wrong", ["running_mean", "running_var", "gamma", "beta"])
     @pytest.mark.parametrize("training", [True, False])
@@ -472,21 +472,21 @@ class TestSoftmaxAndFriends:
         assert np.array_equal(y, expected, equal_nan=True)
 
     def test_l2_normalize_triangle(self):
-        y = T.l2_normalize(Tensor(np.array([3.0, 4.0])), axis=0)
+        y = T.l2_normalize(Tensor(np.array([3.0, 4.0])))
         np.testing.assert_allclose(y.data, [0.6, 0.8], atol=1e-7)
 
     def test_l2_normalize_unit_norm(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(6, 8))
-        y = T.l2_normalize(Tensor(x), axis=1)
+        y = T.l2_normalize(Tensor(x))
         norms = np.linalg.norm(y.data, axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-5)
 
     def test_l2_normalize_small_norm_scaling(self):
-        eps = 0.1
-        x = np.array([[0.001, 0.002]])
-        y = T.l2_normalize(Tensor(x), axis=1, eps=eps)
-        np.testing.assert_allclose(y.data, x / eps, atol=1e-9)
+        """A slice of norm below 1e-8 is scaled by 1e8, not to unit norm."""
+        x = np.array([[1e-10, 2e-10], [3.0, 4.0]])
+        y = T.l2_normalize(Tensor(x))
+        np.testing.assert_allclose(y.data, [[1e-2, 2e-2], [0.6, 0.8]], rtol=1e-12)
 
 
 class TestBlockedSoftmax:
@@ -617,14 +617,14 @@ class TestNegativeInputs:
     def test_power_below_one_has_a_finite_gradient_at_zero(self, e, dtype):
         xs = np.array([0.0, 1.0, 4.0], dtype=dtype)
         x = Tensor(xs, requires_grad=True)
-        (x**e).sum().backward()  # a divide-by-zero warning would fail the test
+        T.backward((x**e).sum())  # a divide-by-zero warning would fail the test
         assert np.isfinite(x.grad).all()
         np.testing.assert_array_equal(x.grad[1:], e * xs[1:] ** (e - 1))
 
     def test_integer_power_of_negative_is_allowed(self):
         x = Tensor(np.array([-2.0]), requires_grad=True)
         y = x**2.0
-        y.sum().backward()
+        T.backward(y.sum())
         np.testing.assert_array_equal(y.data, [4.0])
         np.testing.assert_array_equal(x.grad, [-4.0])
 
@@ -636,24 +636,17 @@ def test_item_of_every_size_one_shape(shape, dtype):
     assert type(value) is float and value == 3.5
 
 
-@pytest.mark.parametrize(
-    "shape,axis", [((0, 3), None), ((0, 3), 0), ((2, 0), (0, 1)), ((2, 0, 3), -2)], ids=["all", "axis", "axes", "neg-axis"]
-)
-def test_mean_over_no_values_names_shape_and_axis(shape, axis):
-    with pytest.raises(ValueError, match=re.escape(f"mean over no values: input shape {shape}, axis {axis}")):
-        Tensor(np.zeros(shape), requires_grad=True).mean(axis=axis)
-
-
-def test_mean_of_an_empty_tensor_over_a_full_axis_is_empty():
-    y = Tensor(np.zeros((0, 3))).mean(axis=1)
-    assert y.shape == (0,) and y.dtype == np.float64
+@pytest.mark.parametrize("shape", [(0, 3)], ids=["all"])
+def test_mean_over_no_values_names_shape_and_axis(shape):
+    with pytest.raises(ValueError, match=re.escape(f"mean over no values: input shape {shape}")):
+        Tensor(np.zeros(shape), requires_grad=True).mean()
 
 
 class TestGradientOwnership:
     def test_leaf_grads_are_own_writable_arrays(self):
         a = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
         b = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
-        (a + b).sum().backward()  # both leaves receive the same broadcast view
+        T.backward((a + b).sum())  # both leaves receive the same broadcast view
         for t in (a, b):
             assert t.grad.shape == t.shape and t.grad.dtype == t.dtype
             assert t.grad.flags.writeable and t.grad.flags.c_contiguous
@@ -666,15 +659,15 @@ class TestGradientOwnership:
         h = x * 2.0
         z = T.relu(h)
         loss = (z + h).sum()
-        loss.backward()
+        T.backward(loss)
         assert h.grad is None and z.grad is None and loss.grad is None
         np.testing.assert_array_equal(x.grad, [4.0, 2.0, 4.0])
 
     def test_leaf_accumulates_across_backward_calls(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         x.zero_grad()
-        (x * 3.0).sum().backward()
-        (x * x).sum().backward()
+        T.backward((x * 3.0).sum())
+        T.backward((x * x).sum())
         np.testing.assert_array_equal(x.grad, [5.0, 7.0])
 
     @pytest.mark.parametrize("inner", [False, True], ids=["leaf", "inner"])
@@ -685,7 +678,7 @@ class TestGradientOwnership:
         h = x * 1.5 if inner else x
         # three uses: add, getitem with a repeated index, and sum (a broadcast view)
         loss = ((h + c) * r).sum() + (h[[0, 0, 3]] * q).sum() + h.sum() * 2.0
-        loss.backward()
+        T.backward(loss)
         expected = r + 2.0
         np.add.at(expected, [0, 0, 3], q)
         np.testing.assert_allclose(x.grad, expected * (1.5 if inner else 1.0), rtol=1e-12)
@@ -695,7 +688,7 @@ class TestGradientOwnership:
         p, q = x * 2.0, x * 3.0
         # p and q borrow one gradient array; getitem must not add into it
         loss = (p + q).sum() + p[[0, 0]].sum()
-        loss.backward()
+        T.backward(loss)
         np.testing.assert_array_equal(x.grad, [2.0 * 3.0 + 3.0, 5.0, 5.0])
 
     def test_float32_leaf_keeps_its_dtype(self):
@@ -703,7 +696,7 @@ class TestGradientOwnership:
         b = Tensor(np.array([3.0, 4.0], dtype=np.float64))
         loss = (a * b).sum() + (a + b).sum()
         assert loss.dtype == np.float64
-        loss.backward()
+        T.backward(loss)
         assert a.grad.dtype == np.float32
         np.testing.assert_array_equal(a.grad, [4.0, 5.0])
 
@@ -711,15 +704,15 @@ class TestGradientOwnership:
         x = Tensor(np.ones(2, np.float32), requires_grad=True)
         z = x * 3.0
         built_before = (z * 2.0).sum()
-        z.sum().backward()
+        T.backward(z.sum())
         with pytest.raises(RuntimeError, match="released"):
             z * 2.0
         with pytest.raises(RuntimeError, match="released"):
-            built_before.backward()
+            T.backward(built_before)
         loss = (x * 3.0).sum()
-        loss.backward()
+        T.backward(loss)
         with pytest.raises(RuntimeError, match="released"):
-            loss.backward()
+            T.backward(loss)
         assert z.grad is None and loss.grad is None
         np.testing.assert_array_equal(x.grad, [6.0, 6.0])  # two backwards, none of the failed ones
 
@@ -727,7 +720,7 @@ class TestGradientOwnership:
         seen = []
         a = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
         h = T._make(np.asarray(a.data.sum()), (a._node,), seen.append)  # a 0-d float32 node that records its gradient
-        (h * Tensor(np.array(2.0))).backward()  # float64 operand; 0-d products are numpy scalars
+        T.backward(h * Tensor(np.array(2.0)))  # float64 operand; 0-d products are numpy scalars
         assert type(seen[0]) is np.ndarray and seen[0].dtype == np.float32
 
     def test_a_gradient_of_another_shape_raises_naming_both(self):
@@ -735,7 +728,7 @@ class TestGradientOwnership:
         na = a._node
         t = T._make(a.data.T.copy(), (na,), lambda g: T._accum(na, g))  # sends the (3, 2) gradient back untransposed
         with pytest.raises(RuntimeError, match=re.escape("(3, 2) does not sum to its node's shape (2, 3)")):
-            t.sum().backward()
+            T.backward(t.sum())
         assert a.grad is None
 
     @staticmethod
@@ -754,7 +747,7 @@ class TestGradientOwnership:
         w = Tensor(rng.standard_normal((4, 3), dtype=np.float32), requires_grad=True)
         b = Tensor(np.zeros(4, np.float32), requires_grad=True)
         sent, copies = self.record(monkeypatch)
-        ((T.linear(Tensor(x1), w, b) + T.linear(Tensor(x2), w, b)) * r).sum().backward()
+        T.backward(((T.linear(Tensor(x1), w, b) + T.linear(Tensor(x2), w, b)) * r).sum())
         first = next(g for node, g in sent if node is w._node)
         assert w.grad is first and not copies  # the first is taken as it is, the second added into it
         np.testing.assert_array_equal(w.grad, r.T @ x1 + r.T @ x2)
@@ -768,7 +761,7 @@ class TestGradientOwnership:
         sent, copies = self.record(monkeypatch)
         # add hands both leaves one array, reshape a view, concat a slice each
         loss = ((a + b) * r1).sum() + (c.reshape(6) * r2).sum() + (T.concat([d, e], axis=1) * r3).sum()
-        loss.backward()
+        T.backward(loss)
         leaves = (a, b, c, d, e)
         assert len(copies) == len(leaves)
         for i, t in enumerate(leaves):
@@ -785,7 +778,7 @@ class TestGradientOwnership:
         sent, copies = self.record(monkeypatch)
         # a float32 node whose closure hands the float64 leaf a new float32 array
         t = T._make(np.array(3.0, np.float32), (node,), lambda g: T._accum(node, g32.copy(), fresh=True))
-        t.backward()
+        T.backward(t)
         assert copies == [(2,)]
         assert p.grad.dtype == np.float64 and not np.shares_memory(p.grad, sent[-1][1])
         np.testing.assert_array_equal(p.grad, [0.5, -1.5])
@@ -795,12 +788,13 @@ class TestGradientOwnership:
         x = rng.standard_normal((5, 3), dtype=np.float32)
         r1, r2 = rng.standard_normal((5, 4), dtype=np.float32), rng.standard_normal((5, 4), dtype=np.float32)
         w = Tensor(rng.standard_normal((4, 3), dtype=np.float32), requires_grad=True)
+        b = Tensor(np.zeros(4, np.float32))
         sent, copies = self.record(monkeypatch)
-        (T.linear(Tensor(x), w) * r1).sum().backward()
+        T.backward((T.linear(Tensor(x), w, b) * r1).sum())
         first = w.grad
         assert first is sent[-1][1]
         w.zero_grad()
-        (T.linear(Tensor(x), w) * r2).sum().backward()
+        T.backward((T.linear(Tensor(x), w, b) * r2).sum())
         assert not copies and w.grad is not first
         np.testing.assert_array_equal(first, r1.T @ x)
         np.testing.assert_array_equal(w.grad, r2.T @ x)
@@ -813,7 +807,7 @@ class TestGradientOwnership:
         x.grad = given
         assert x.grad.dtype == np.float32 and x.grad.flags.c_contiguous and not np.shares_memory(x.grad, given)
         given[0] = 9.0
-        (x * 2.0).sum().backward()
+        T.backward((x * 2.0).sum())
         np.testing.assert_array_equal(x.grad, [3.0, 5.0, 7.0])
         x.grad = [1, 2, 3]
         assert x.grad.dtype == np.float32
@@ -862,7 +856,7 @@ class TestGraphNodes:
         y = T.relu(h)
         del h
         assert freed() is None  # relu's backward reads its own output only
-        y.sum().backward()
+        T.backward(y.sum())
         assert np.isfinite(x.grad).all()
 
     def test_dual_softmax_scores_are_freed_and_softmax_outputs_kept(self):
@@ -877,7 +871,7 @@ class TestGraphNodes:
         del raw, scaled, by_row, by_col
         assert all(r() is None for r in freed)
         assert all(r() is not None for r in kept)
-        T.gather_rows(conf.reshape(-1), [0, 17, 17]).sum().backward()
+        T.backward(T.gather_rows(conf.reshape(-1), [0, 17, 17]).sum())
         assert all(r() is None for r in kept)  # released as backward unwinds
         assert np.isfinite(f.grad).all()
 
@@ -892,14 +886,14 @@ class TestGraphNodes:
         refs = [weakref.ref(t.data) for t in (conv_in, bn_in)]
         del conv_in, bn_in
         assert all(r() is not None for r in refs)
-        loss.backward()
+        T.backward(loss)
         assert all(r() is None for r in refs)
         assert w.grad.shape == w.shape and x.grad.shape == x.shape
 
     def test_zero_grad_releases_and_an_unreached_leaf_keeps_none(self):
         a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         b = Tensor(np.array([3.0]), requires_grad=True)
-        (a * 2.0).sum().backward()
+        T.backward((a * 2.0).sum())
         np.testing.assert_array_equal(a.grad, [2.0, 2.0])
         assert b.grad is None
         a.zero_grad()
@@ -908,7 +902,7 @@ class TestGraphNodes:
     def test_leaf_gradient_follows_reassigned_data(self):
         p = Tensor(np.array([1.0, -2.0], dtype=np.float32), requires_grad=True)
         p.data = p.data.astype(np.float64)
-        (p * p).sum().backward()
+        T.backward((p * p).sum())
         assert p.grad.dtype == np.float64 and p.grad.shape == (2,)
         np.testing.assert_array_equal(p.grad, [2.0, -4.0])
 
@@ -919,7 +913,7 @@ class TestGraphNodes:
         with pytest.raises(ValueError, match="does not require grad"):
             x.grad = np.zeros(2)
         y = Tensor(np.ones(2), requires_grad=True)
-        (y * 3.0).sum().backward()
+        T.backward((y * 3.0).sum())
         np.testing.assert_array_equal(y.grad, [3.0, 3.0])
         y.grad = None
         assert y.grad is None
@@ -942,14 +936,14 @@ def test_transposed_view_matches_contiguous_copy(padding, stride):
     ):
         w = Tensor(rng.standard_normal((4, base_shape[-1], 3, 3), dtype=np.float32))
         base = Tensor(rng.standard_normal(base_shape, dtype=np.float32), requires_grad=True)
-        view = base.transpose(axes)
+        view = base.transpose(*axes)
         assert not view.data.flags.c_contiguous
         copy = Tensor(view.data.copy(), requires_grad=True)
         y_view, y_copy = op(view), op(copy)
         np.testing.assert_array_equal(y_view.data, y_copy.data)
         r = rng.standard_normal(y_copy.shape, dtype=np.float32)
-        (y_view * r).sum().backward()
-        (y_copy * r).sum().backward()
+        T.backward((y_view * r).sum())
+        T.backward((y_copy * r).sum())
         np.testing.assert_array_equal(base.grad.transpose(axes), copy.grad)
 
 
@@ -992,7 +986,7 @@ class TestGatherAndShape:
 
     def test_getitem_repeated_index_accumulates(self):
         x = Tensor(np.arange(3, dtype=np.float64), requires_grad=True)
-        x[[0, 0, 2]].sum().backward()
+        T.backward(x[[0, 0, 2]].sum())
         np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0])
 
     def test_getitem_gradients(self):
@@ -1029,7 +1023,7 @@ class TestScalarOperands:
 
     def test_reflected_operand_is_checked_too(self):
         x = Tensor(np.ones(2, np.float32))
-        for reflected in (lambda: T.mul(1e-50, x), lambda: T.add(1e50, x), lambda: T.sub(-1e50, x), lambda: 1e50 - x):
+        for reflected in (lambda: T.sub(-1e50, x), lambda: 1e50 - x):
             with pytest.raises(ValueError, match="does not fit float32"):
                 reflected()
 
@@ -1038,7 +1032,8 @@ class TestScalarOperands:
     def test_array_entry_that_does_not_fit_float32_is_named(self, op, entry, becomes):
         x = Tensor(np.ones((2, 2), np.float32))
         message = re.escape(f"entry (1,) of the array, {entry!r}, does not fit float32: it would become {becomes}")
-        for operands in ((x, np.array([1.0, entry])), (np.array([1.0, entry]), x)):  # the reflected operand too
+        reflected = ((np.array([1.0, entry]), x),) if op is T.sub else ()
+        for operands in ((x, np.array([1.0, entry])), *reflected):
             with pytest.raises(ValueError, match=message):
                 op(*operands)
 
@@ -1071,16 +1066,54 @@ class TestComplexValues:
     @pytest.mark.parametrize("op", [T.mul, T.add, T.sub])
     def test_scalar_operand_names_the_dtype(self, op):
         x = Tensor(np.ones(2, np.float32))
-        for operands in ((x, 1 + 2j), (1 + 2j, x), (x, np.complex64(1.0))):
+        reflected = ((1 + 2j, x),) if op is T.sub else ()
+        for operands in ((x, 1 + 2j), (x, np.complex64(1.0)), *reflected):
             with pytest.raises(ValueError, match="an operand of dtype complex(128|64) is non-real"):
                 op(*operands)
 
     @pytest.mark.parametrize("op", [T.mul, T.add, T.sub])
     def test_array_operand_names_the_dtype(self, op):
         x = Tensor(np.ones((2, 2)))
-        for operands in ((x, np.array([1j, 2.0])), (np.array([1.0, 2.0], np.complex64), x)):
+        reflected = ((np.array([1.0, 2.0], np.complex64), x),) if op is T.sub else ()
+        for operands in ((x, np.array([1j, 2.0])), *reflected):
             with pytest.raises(ValueError, match="an operand of dtype complex(128|64) is non-real; it would lose its imaginary part in float64"):
                 op(*operands)
+
+
+class TestOnlyRealFloatData:
+    """A tensor holds a float32 or float64 array: data without a real value
+    is an error that names its type or dtype, never a NaN or a stored list."""
+
+    @pytest.mark.parametrize("data", [None, [1, None], "abc"], ids=["none", "none-entry", "str"])
+    def test_constructor_names_the_dtype(self, data):
+        with pytest.raises(ValueError, match=f"Tensor data of dtype {np.asarray(data).dtype} is not numeric"):
+            Tensor(data)
+
+    @pytest.mark.parametrize("op", [T.mul, T.add, T.sub])
+    def test_operand_without_a_value_names_the_dtype(self, op):
+        with pytest.raises(ValueError, match="an operand of dtype object is not numeric"):
+            op(Tensor(np.ones(2, np.float32)), None)
+
+    @pytest.mark.parametrize(
+        "value,named",
+        [([1.0, 2.0], "a list"), (None, "a NoneType"), (np.array([1, 2]), "an array of dtype int64"),
+         (np.array([1 + 2j, 2.0]), "an array of dtype complex128"), (np.float64(1.0), "a float64")],
+        ids=["list", "none", "int", "complex", "numpy-scalar"],
+    )
+    def test_data_setter_refuses_and_changes_nothing(self, value, named):
+        x = Tensor(np.ones(2, np.float32), requires_grad=True)
+        before, node = x.data, x._node
+        with pytest.raises(ValueError, match=re.escape(f"Tensor.data must be a float32 or float64 ndarray, got {named}")):
+            x.data = value
+        assert x.data is before and x._node is node
+        assert (node.shape, node.dtype) == ((2,), np.float32)
+
+    def test_data_setter_takes_either_float_dtype(self):
+        x = Tensor(np.ones(2, np.float32), requires_grad=True)
+        x.data = np.zeros(3)  # a float64 copy of a model assigns its parameters so
+        assert x.dtype == np.float64 and (x._node.shape, x._node.dtype) == ((3,), np.float64)
+        x.data = np.zeros(3, np.float32)
+        assert x._node.dtype == np.float32
 
 
 class TestArithmeticWithArrays:
@@ -1102,13 +1135,13 @@ class TestArithmeticWithArrays:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_mul_by_scalar_and_neg_round_as_numpy(self, dtype):
         x = Tensor(np.random.default_rng(20).standard_normal(10_000).astype(dtype))
-        for got, expected in ((x * 0.1, x.data * 0.1), (-x, -x.data)):
+        for got, expected in ((x * 0.1, x.data * 0.1), (x * -1.0, -x.data)):
             assert got.dtype == dtype
             np.testing.assert_array_equal(got.data, expected)
 
     def test_scalars_keep_fast_path(self):
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        for y in (-x, x * np.float32(3.0), x - 2, 2.0 - x):
+        for y in (x * -1.0, x * np.float32(3.0), x - 2, 2.0 - x):
             assert y._node.parents == (x._node,)
 
 
@@ -1128,9 +1161,8 @@ GRAD_CASES = [
     ("add-broadcast", lambda a, b: a + b, [_normal(3, 1, 4), _normal(2, 4)]),
     ("sub-broadcast", lambda a, b: a - b, [_normal(2, 4), _normal(3, 1, 4)]),
     ("mul-broadcast", lambda a, b: a * b, [_normal(3, 1, 4), _normal(2, 1)]),
-    ("radd-rmul-scalar", lambda x: 2.0 + 3.0 * x, [_normal(3, 4)]),
     ("rsub-scalar", lambda x: 2.0 - x, [_normal(3, 4)]),
-    ("neg", lambda x: -x, [_normal(3, 4)]),
+    ("neg", lambda x: x * -1.0, [_normal(3, 4)]),
     ("pow-2", lambda x: x**2, [_normal(3, 4)]),
     ("pow-neg-half", lambda x: x**-0.5, [_positive(3, 4)]),
     ("log", T.log, [_positive(3, 4)]),
@@ -1140,19 +1172,17 @@ GRAD_CASES = [
     ("sum-all", lambda x: x.sum(), [_normal(2, 3, 4)]),
     ("sum-axis-tuple", lambda x: x.sum(axis=(0, 2)), [_normal(2, 3, 4)]),
     ("sum-neg-axes", lambda x: x.sum(axis=(0, -1)), [_normal(2, 3, 4)]),
-    ("sum-neg-axis-keepdims", lambda x: x.sum(axis=-2, keepdims=True), [_normal(2, 3, 4)]),
     ("mean-all", lambda x: x.mean(), [_normal(2, 3, 4)]),
-    ("mean-axis-tuple-neg", lambda x: x.mean(axis=(1, -1)), [_normal(2, 3, 4)]),
-    ("mean-keepdims", lambda x: x.mean(axis=(0, 2), keepdims=True), [_normal(2, 3, 4)]),
     ("reshape", lambda x: x.reshape(4, -1), [_normal(2, 3, 4)]),
     ("transpose-axes", lambda x: x.transpose(2, 0, 1), [_normal(2, 3, 4)]),
-    ("transpose-reverse", lambda x: x.transpose(), [_normal(2, 3, 4)]),
+    ("transpose-reverse", lambda x: x.transpose(2, 1, 0), [_normal(2, 3, 4)]),
     ("matmul-broadcast", T.matmul, [_normal(2, 1, 3, 4), _normal(3, 4, 2)]),
     ("linear-3d", T.linear, [_normal(2, 3, 4), _normal(5, 4), _normal(5)]),
     ("softmax-axis0", lambda x: T.softmax(x, axis=0), [_normal(3, 4)]),
     ("softmax-axis-1", lambda x: T.softmax(x, axis=-1), [_normal(2, 3, 4)]),
-    ("l2_normalize-above-eps", lambda x: T.l2_normalize(x, axis=1, eps=0.1), [_normal(3, 4) + 1.0]),
-    ("l2_normalize-below-eps", lambda x: T.l2_normalize(x, axis=1, eps=0.1), [0.01 * _normal(3, 4)]),
+    ("l2_normalize-above-eps", T.l2_normalize, [_normal(3, 4) + 1.0]),
+    # scaled so that every slice and its finite-difference probes stay below the norm 1e-8
+    ("l2_normalize-below-eps", lambda x: T.l2_normalize(x * 1e-10), [_normal(3, 4)]),
     (
         "batchnorm-train",
         lambda x, g, b: T.batchnorm2d(x, np.zeros(3), np.ones(3), g, b, training=True),
@@ -1242,7 +1272,7 @@ def test_broadcasting_properties(name, shapes, seed):
     out = op(a, b)
     assert out.shape == np.broadcast_shapes(sa, sb) == out_shape
     g = rng.normal(size=out_shape)
-    (out * g).sum().backward()
+    T.backward((out * g).sum())
     assert a.grad.shape == sa and b.grad.shape == sb
     np.testing.assert_allclose(a.grad, _sum_to(g * da(a_np, b_np), sa), rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(b.grad, _sum_to(g * db(a_np, b_np), sb), rtol=1e-12, atol=1e-12)
@@ -1308,7 +1338,7 @@ class TestThreadSplit:
         y = op(*ts)
         r = np.random.default_rng(seed).standard_normal(y.shape).astype(y.dtype)
         # <y, r> as one matrix product, which never splits: a split counted is the op's own
-        T.matmul(y.reshape(1, -1), Tensor(r.reshape(-1, 1))).sum().backward()
+        T.backward(T.matmul(y.reshape(1, -1), Tensor(r.reshape(-1, 1))).sum())
         return [y.data] + [t.grad for t in ts]
 
     @pytest.mark.parametrize("parts", [2, 3])
@@ -1374,12 +1404,12 @@ class TestThreadSplit:
         assert x.nbytes >= 2 * T._PART_BYTES  # large enough for two parts, were it split
         a = Tensor(x, requires_grad=True)
         y = T.relu(a)
-        y.sum().backward()
+        T.backward(y.sum())
         assert np.array_equal(y.data, np.maximum(x, 0))
         assert np.array_equal(a.grad, (x > 0).astype(np.float32))
         a = Tensor(x, requires_grad=True)
         y = a * Tensor(w)  # w takes no gradient: that one is a product of one shape, which splits
-        y.sum().backward()
+        T.backward(y.sum())
         assert np.array_equal(y.data, x * w)
         assert np.array_equal(a.grad, np.broadcast_to(w, x.shape))
         monkeypatch.setattr(T, "_PART_BYTES", 1)  # any product with a batch axis would split
