@@ -42,10 +42,23 @@ made), and it is a writeable, C-contiguous ndarray of the leaf's dtype.
 Any other array is copied: one an op passes on (the array add hands both
 its inputs, a reshaped, transposed, sliced or broadcast view), or one of
 another dtype.  Later gradients add into the leaf's array in place, and
-setting `.grad` stores a copy.  An inner node's `.grad` is borrowed: it
-may be a view, a broadcast view or another node's gradient, so it is never
-written in place, and backward sets it to None once the node's closure has
-used it.
+setting `.grad` stores a copy.  An inner node owns its gradient when
+nothing else holds that array: an op made it for this one input, `_accum`
+made it (a sum, a cast, or a sum over broadcast axes), or `reshape` or
+`transpose` passed on a view of a gradient they owned.  Any other gradient
+an inner node takes is borrowed (the array add hands both its inputs,
+sub's first input, concat's slices, tsum's broadcast view), and `_accum`
+makes it read-only as it stores it; so a gradient's `writeable` flag tells
+the closure that receives it whether it owns it, and a write into a
+borrowed one raises instead of changing another node's gradient.  An owned
+gradient that is C-contiguous is written in place in three places only:
+`_accum` adds a later gradient into it, `mul` writes one side's product
+into it (`_into`), and `softmax` computes its input gradient in it.  A
+strided owned view is not written: a product written into one hands the
+next op a strided gradient where a new product is C-contiguous, and the
+sums of a later batch norm then add in another order.  So every value is
+the one a new array would hold, bit for bit.  Backward sets an inner
+node's `.grad` to None once the node's closure has used it.
 
 Allocator policy (process-wide, set once at import): where the C library
 is glibc, every allocation is served from the heap, never from a private
@@ -256,7 +269,8 @@ class Node:
     parents.  Backward releases an op's node once its closure has run: it
     drops the closure and sets `parents` to None, so an op or a backward
     that later reaches the node raises instead of taking it for a leaf.
-    `grad`, `shape` and `dtype` follow the rules of the module docstring.
+    `grad`, `shape` and `dtype` follow the rules of the module docstring:
+    an inner node owns its `grad` exactly when the array is writeable.
     """
 
     __slots__ = ("backward", "parents", "grad", "shape", "dtype")
@@ -283,7 +297,8 @@ class Tensor:
     `data` once `backward(loss)` has reached it, until `zero_grad`; an inner
     tensor's is None again when `backward` returns.  It may be set to None,
     or to a real array of the node's shape, of which the node keeps its own
-    C-contiguous copy in its dtype.
+    C-contiguous copy in its dtype; an entry that the cast would turn into
+    inf or zero is a ValueError naming it.
     """
 
     __slots__ = ("_data", "_node")
@@ -332,7 +347,7 @@ class Tensor:
                 raise ValueError(
                     f"grad must be None or a real array of shape {node.shape}, got {arr.dtype} of shape {arr.shape}"
                 )
-            value = np.array(arr, dtype=node.dtype, order="C")
+            value = _fit(arr, node.dtype, "Tensor.grad")
         node.grad = value
 
     @property
@@ -395,7 +410,7 @@ class Tensor:
 
 
 def _fit(value, dtype, name: str) -> np.ndarray:
-    """A copy of `value` cast to `dtype`.
+    """A C-contiguous copy of `value` cast to `dtype`.
 
     Data that are not real numbers (complex, objects such as None, strings)
     are a ValueError naming their dtype, and a finite nonzero scalar or
@@ -408,7 +423,7 @@ def _fit(value, dtype, name: str) -> np.ndarray:
     if src.dtype.kind not in "biuf":
         raise ValueError(f"{name} of dtype {src.dtype} is not numeric; a tensor holds float32 or float64")
     with np.errstate(over="ignore"):  # reported below, not warned about
-        arr = src.astype(dtype)
+        arr = src.astype(dtype, order="C")
     if not np.can_cast(src.dtype, arr.dtype):  # only a narrowing cast can break a value
         broken = np.isfinite(src) & (src != 0) & ~(np.isfinite(arr) & (arr != 0))
         if broken.any():
@@ -451,10 +466,12 @@ def backward(loss: Tensor) -> None:
     sent.  A leaf takes its first gradient as it is where its op made that
     array for it alone, and a copy otherwise (see "Gradient ownership" in
     the module docstring), and adds later ones into it; one that backward
-    does not reach keeps the `.grad` it had, None after `zero_grad`.  Inner
-    gradients are borrowed and freed: after backward every inner node, the
-    loss included, has `.grad` None, and the tape is released node by node
-    as it unwinds: a second backward through any of it raises RuntimeError.
+    does not reach keeps the `.grad` it had, None after `zero_grad`.  A
+    closure receives its node's gradient writeable where the node owns it
+    and read-only where it is borrowed, and may write into it only in the
+    first case.  After backward every inner node, the loss included, has
+    `.grad` None, and the tape is released node by node as it unwinds: a
+    second backward through any of it raises RuntimeError.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -498,8 +515,12 @@ def _accum(node: Node | None, g, fresh: bool = False):
     """Add gradient `g`, summed down to the node's shape where it was broadcast,
     into `node.grad` under the ownership rule of this module; None is a no-op.
 
-    `fresh` says that the closure made `g` for this one input and keeps no
-    reference to it, so a leaf may take it as its own."""
+    `fresh` says that the closure hands `g` to this one input and keeps no
+    reference to it: an array it made, which a leaf may take as its own, or,
+    for an inner node only, a view of a gradient it owned.  An inner node
+    takes its first gradient as it is, made read-only unless `fresh` or made
+    here, and adds a later one into it in place where it owns a
+    C-contiguous gradient; otherwise the sum is a new array, which it owns."""
     if node is None:
         return
     given = g
@@ -520,8 +541,20 @@ def _accum(node: Node | None, g, fresh: bool = False):
         return
     if g.__class__ is not np.ndarray or g.dtype != node.dtype:
         g = np.asarray(g, dtype=node.dtype)  # 0-d * float gives a numpy scalar
-    # borrowed: taken as is, and never added into in place
-    node.grad = g if node.grad is None else np.asarray(node.grad + g)
+    if node.grad is None:
+        if not fresh and g is given:  # borrowed: another input or a later slice may read it
+            g.flags.writeable = False
+        node.grad = g
+    elif _owns(node.grad):
+        node.grad += g
+    else:
+        node.grad = np.asarray(node.grad + g)
+
+
+def _owns(g: np.ndarray) -> bool:
+    """Whether an inner node's gradient may be written in place: the node
+    owns it (it is writeable) and it is C-contiguous."""
+    return g.flags.writeable and g.flags.c_contiguous
 
 
 def _leaf_copy(g, dtype) -> np.ndarray:
@@ -574,21 +607,31 @@ def sub(a, b) -> Tensor:
     return _make(a.data - b.data, (na, nb), bw)
 
 
-def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """`x * y`.  A product of two arrays of one shape, or of an array and a
-    0-d array, goes into a new C-contiguous array, split on its leading
-    axis after any leading axes of length one; its bytes count three times
-    the larger operand.  Any other product is one numpy call."""
+def _product(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`x * y`, into `out` if given, else into a new array.  A product of two
+    arrays of one shape, or of an array and a 0-d array, goes into a
+    C-contiguous array, split on its leading axis after any leading axes of
+    length one; its bytes count three times the larger operand.  Any other
+    product is one numpy call."""
     if x.shape != y.shape and x.ndim and y.ndim:
-        return x * y
+        return np.multiply(x, y, out=out)
     nbytes = 3 * max(x.nbytes, y.nbytes)
     shape = x.shape or y.shape
-    out = np.empty(shape, np.result_type(x, y))
+    if out is None:
+        out = np.empty(shape, np.result_type(x, y))
     lead = next((i for i, d in enumerate(shape) if d != 1), len(shape))
     rows = out.reshape(shape[lead:] or (1,))
     x, y = (a.reshape(rows.shape) if a.ndim else a for a in (x, y))
     _split(len(rows), nbytes, lambda s: np.multiply(x[s] if x.ndim else x, y[s] if y.ndim else y, out=rows[s]))
     return out
+
+
+def _into(g: np.ndarray, other: np.ndarray) -> np.ndarray | None:
+    """`g` where it may be written in place (`_owns`) and a product of it and
+    `other` keeps its dtype, so that the product may overwrite it; else None."""
+    if _owns(g) and np.result_type(g, other) == g.dtype:
+        return g
+    return None
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -599,10 +642,12 @@ def mul(a: Tensor, b) -> Tensor:
     bd = b.data if na is not None else None
 
     def bw(g):
+        if nb is not None:  # made first, so that a's product may then overwrite g
+            gb = _product(g, ad, out=_into(g, ad) if na is None else None)
         if na is not None:
-            _accum(na, _product(g, bd), fresh=True)
+            _accum(na, _product(g, bd, out=_into(g, bd)), fresh=True)
         if nb is not None:
-            _accum(nb, _product(g, ad), fresh=True)
+            _accum(nb, gb, fresh=True)
 
     return _make(_product(a.data, b.data), (na, nb), bw)
 
@@ -702,8 +747,8 @@ def tmean(a: Tensor) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     na = a._node
 
-    def bw(g):
-        _accum(na, g.reshape(na.shape))
+    def bw(g):  # an inner node owns the view of a gradient reshape owned; a leaf copies it
+        _accum(na, g.reshape(na.shape), fresh=na.backward is not None)
 
     return _make(a.data.reshape(shape), (na,), bw)
 
@@ -711,8 +756,8 @@ def reshape(a: Tensor, shape) -> Tensor:
 def transpose(a: Tensor, axes) -> Tensor:
     na = a._node
 
-    def bw(g):  # axes of mixed sign sort into the inverse only once counted from the front
-        _accum(na, g.transpose(np.argsort([ax % g.ndim for ax in axes])))
+    def bw(g):  # as reshape's; axes of mixed sign sort into the inverse only once counted from the front
+        _accum(na, g.transpose(np.argsort([ax % g.ndim for ax in axes])), fresh=na.backward is not None)
 
     return _make(a.data.transpose(axes), (na,), bw)
 
@@ -799,7 +844,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             f"linear: bias has shape {bias.data.shape}, but the weight has {weight.data.shape[0]} output features"
         )
     wd = weight.data
-    out_data = np.matmul(x.data, wd.T) + bias.data
+    out_data = np.matmul(x.data, wd.T)
+    if out_data.dtype == np.result_type(out_data, bias.data):
+        out_data += bias.data  # no second output-sized array
+    else:
+        out_data = out_data + bias.data
     nx, nw, nb = x._node, weight._node, bias._node
     xd = x.data if nw is not None else None  # read by the weight gradient only
 
@@ -842,8 +891,16 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     comes from the whole array, so the blocks and that order are the same
     in any part.  (Splitting the trailing columns instead measured no
     faster: 4096x4096 float32 on the 2-core box, 65 ms in one part and 68
-    in two.)  Backward fills one full-size buffer in place and splits on
-    `pre`.
+    in two.)  Backward splits on `pre` and writes the input gradient into
+    the gradient it receives where it owns it (`_into`), else into one new
+    array.  A part puts the products it sums into a scratch of its own, one
+    chunk of at most `_SOFTMAX_BLOCK_BYTES` at a time: whole slices, or,
+    where a slice is larger and post > 1, runs of its rows (so a 1 x L x L
+    input needs no L x L scratch).  numpy adds the rows of a slice in order
+    when post > 1, so a run's products follow the sums of the runs before
+    it and the sums go on in that order; it sums a row pairwise when
+    post == 1, so a row is never cut.  Every sum thus adds the same
+    products in the same order as over the whole part.
     """
     data = x.data
     if not -data.ndim <= axis < data.ndim:
@@ -903,14 +960,28 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     nx = x._node
 
     def bw(g):
-        gx = np.empty(out_data.shape, np.result_type(g, out_data))
+        gx = _into(g, out_data)
+        if gx is None:
+            gx = np.empty(out_data.shape, np.result_type(g, out_data))
         g3, gx3 = g.reshape(pre, n, post), gx.reshape(pre, n, post)
+        run = max(1, n if post == 1 else min(n, _SOFTMAX_BLOCK_BYTES // max(1, post * gx.itemsize)))
+        rows = max(1, _SOFTMAX_BLOCK_BYTES // max(1, run * post * gx.itemsize))
 
         def grad(s):
-            gs, ys, gxs = g3[s], o3[s], gx3[s]
-            np.multiply(gs, ys, out=gxs)
-            np.subtract(gs, gxs.sum(axis=1, keepdims=True), out=gxs)
-            gxs *= ys
+            scratch = np.empty((min(rows, s.stop - s.start), run + 1, post), gx.dtype)
+            for i in range(s.start, s.stop, rows):
+                at = slice(i, min(i + rows, s.stop))
+                m = at.stop - at.start
+                for a in range(0, n, run):
+                    k = min(run, n - a)
+                    np.multiply(g3[at, a : a + k], o3[at, a : a + k], out=scratch[:m, 1 : k + 1])
+                    if a:  # the sums so far head the run's products
+                        scratch[:m, :1] = dots
+                    dots = scratch[:m, (0 if a else 1) : k + 1].sum(axis=1, keepdims=True)
+                for a in range(0, n, run):
+                    gxs = gx3[at, a : a + run]
+                    np.subtract(g3[at, a : a + run], dots, out=gxs)
+                    gxs *= o3[at, a : a + run]
 
         _split(pre, 3 * gx.nbytes, grad, grain=2)
         _accum(nx, gx, fresh=True)

@@ -318,6 +318,16 @@ class TestLinear:
         ref = np.einsum("bti,oi->bto", x, w) + b
         np.testing.assert_allclose(y.data, ref, atol=1e-6)
 
+    @pytest.mark.parametrize("xd,bd", [(np.float32, np.float32), (np.float32, np.float64), (np.float64, np.float32)])
+    def test_bias_adds_as_numpy_adds_it(self, xd, bd):
+        """The bias goes into the product in place where that keeps the
+        product's dtype, and into a new array where it widens it."""
+        rng = np.random.default_rng(7)
+        x, w, b = rng.normal(size=(2, 3, 4)).astype(xd), rng.normal(size=(5, 4)).astype(xd), rng.normal(size=5).astype(bd)
+        y = T.linear(Tensor(x), Tensor(w), Tensor(b)).data
+        ref = np.matmul(x, w.T) + b
+        assert y.dtype == ref.dtype and np.array_equal(y, ref)
+
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="last dim"):
             T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)))
@@ -640,6 +650,16 @@ def test_item_of_every_size_one_shape(shape, dtype):
 def test_mean_over_no_values_names_shape_and_axis(shape):
     with pytest.raises(ValueError, match=re.escape(f"mean over no values: input shape {shape}")):
         Tensor(np.zeros(shape), requires_grad=True).mean()
+
+
+@pytest.mark.parametrize("value,what", [([1e300, 1e-50], "entry (0,) of the array, 1e+300, does not fit float32: it would become inf"),
+                                        ([1.0, 1e-50], "entry (1,) of the array, 1e-50, does not fit float32: it would become 0.0")],
+                         ids=["overflow", "underflow"])
+def test_grad_setter_names_an_entry_that_float32_breaks(value, what):
+    x = Tensor(np.zeros(2, np.float32), requires_grad=True)
+    with pytest.raises(ValueError, match=re.escape(f"Tensor.grad: {what}")):
+        x.grad = np.array(value)
+    assert x.grad is None
 
 
 class TestGradientOwnership:
@@ -1156,6 +1176,39 @@ def _positive(*shape):
     return _rng.uniform(0.5, 2.0, size=shape)
 
 
+# graphs that bring the ops which write into a gradient they own (`_accum`,
+# mul, softmax) a gradient they own and one they do not
+def _inner_square(x):
+    """mul of an inner node by itself: one side's product overwrites the
+    gradient, and `_accum` adds the other side's into it."""
+    h = x * 1.5
+    return h * h
+
+
+def _shared_by_add(x, y):
+    """add hands one gradient to a softmax and to a product."""
+    return T.softmax(x, axis=-1) + y * x
+
+
+def _shared_by_concat(x, y):
+    """concat hands a softmax and a product a slice each of one gradient."""
+    return T.concat([T.softmax(x, axis=-1), y * x], axis=-1)
+
+
+def _transposed_twice(x):
+    """Two transposes hand x * 1.5 an owned but strided gradient each; the
+    first is not added into."""
+    h = x * 1.5
+    return h.transpose(1, 0) * h.transpose(1, 0)
+
+
+def _dual_softmax(a, b):
+    """The matcher's dual-softmax: the scores take the gradient of one
+    softmax and add the other's into it."""
+    s = T.matmul(a, b.transpose(1, 0)) * 0.5
+    return T.softmax(s, axis=1) * T.softmax(s, axis=0)
+
+
 # (id, op, inputs): each op's tape gradient is checked against finite differences
 GRAD_CASES = [
     ("add-broadcast", lambda a, b: a + b, [_normal(3, 1, 4), _normal(2, 4)]),
@@ -1200,6 +1253,12 @@ GRAD_CASES = [
     ("pow-half", lambda x: x**0.5, [_positive(3, 4)]),
     ("mul-same-shape", lambda a, b: a * b, [_normal(3, 4), _normal(3, 4)]),
     ("transpose-mixed-sign-axes", lambda x: x.transpose(-1, 0, 1), [_normal(2, 3, 4)]),
+    ("mul-inner-square", _inner_square, [_normal(3, 4)]),
+    ("add-shares-one-gradient", _shared_by_add, [_normal(3, 4), _normal(3, 4)]),
+    ("concat-slices-of-one-gradient", _shared_by_concat, [_normal(3, 4), _normal(3, 4)]),
+    ("softmax-strided-gradient", lambda x: T.softmax(x, axis=0).transpose(1, 0), [_normal(3, 4)]),
+    ("transpose-strided-gradients-add", _transposed_twice, [_normal(3, 4)]),
+    ("dual-softmax", _dual_softmax, [_normal(3, 2), _normal(4, 2)]),
 ]
 
 
@@ -1241,6 +1300,121 @@ def test_no_node_or_closure_refers_to_a_tensor(op, arrays):
         assert all(isinstance(p, T.Node) for p in node.parents)
         if node.backward is not None:
             assert not any(isinstance(v, Tensor) for v in _closure_contents(node.backward))
+
+
+class TestInPlaceGradients:
+    """`_accum`, mul and softmax write into a gradient only where their node
+    owns it, and then give the values of the path that writes into new
+    arrays bit for bit; an array handed to more than one input, or as a
+    slice, is left as it was."""
+
+    @staticmethod
+    def grads(monkeypatch, op, arrays, dtype, in_place=True):
+        """Every input's gradient for the cotangent of `test_op_gradients`, and
+        each answer of `_owns`; all in-place writes are off unless `in_place`.
+        Asserts that no array `_accum` took without `fresh` has changed."""
+        owns, accum, answers, borrowed = T._owns, T._accum, [], []
+
+        def answer(g):
+            answers.append(in_place and owns(g))
+            return answers[-1]
+
+        def spy(node, g, **kw):
+            if not kw.get("fresh"):
+                borrowed.append((g, np.array(g)))
+            accum(node, g, **kw)
+
+        with monkeypatch.context() as m:
+            m.setattr(T, "_owns", answer)
+            m.setattr(T, "_accum", spy)
+            ts = [Tensor(np.asarray(a, dtype), requires_grad=True) for a in arrays]
+            y = op(*ts)
+            r = np.random.default_rng(18).normal(size=y.shape).astype(dtype)
+            T.backward((y * r).sum())
+        for g, before in borrowed:
+            assert np.array_equal(g, before), "an array handed on without `fresh` was written"
+        return [t.grad for t in ts], answers
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["owned", "shared"])
+    def test_a_closure_gets_its_gradient_writeable_exactly_when_its_node_owns_it(self, shared):
+        x = Tensor(np.ones(3), requires_grad=True)
+        seen = []
+        h = T._make(x.data * 2.0, (x._node,), seen.append)  # a node that records its gradient
+        out = h + x * 1.0 if shared else h * 1.0  # add hands one array to both inputs
+        T.backward((out * np.arange(3.0)).sum())
+        assert seen[0].flags.writeable is not shared
+        if shared:
+            with pytest.raises(ValueError, match="read-only"):
+                seen[0] += 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op,arrays", [case[1:] for case in GRAD_CASES], ids=[case[0] for case in GRAD_CASES])
+    def test_equal_to_the_out_of_place_path(self, monkeypatch, op, arrays, dtype):
+        got, _ = self.grads(monkeypatch, op, arrays, dtype)
+        expected, _ = self.grads(monkeypatch, op, arrays, dtype, in_place=False)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "case,owned",
+        [("add-shares-one-gradient", False), ("concat-slices-of-one-gradient", False),
+         ("softmax-strided-gradient", False), ("transpose-strided-gradients-add", False),
+         ("mul-inner-square", True), ("dual-softmax", True)],
+    )
+    def test_each_case_meets_the_gradient_it_names(self, monkeypatch, case, owned):
+        """The aliasing rows of `GRAD_CASES` bring an op that may write in place
+        a gradient it does not own, or one it owns, as their ids say."""
+        op, arrays = next(row[1:] for row in GRAD_CASES if row[0] == case)
+        _, answers = self.grads(monkeypatch, op, arrays, np.float32)
+        assert owned in answers
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shape,axis,cap",
+        [((40, 30), -1, (3, 30)), ((5, 30, 4), 1, (2, 120)), ((1, 40, 33), 1, (6, 33)),
+         ((2, 40, 7), 1, (17, 7)), ((1, 40, 33), 1, (1, 33)), ((1, 40, 33), 1, (1, 20))],
+        ids=["rows", "slices", "runs-of-6", "runs-of-17-per-slice", "runs-of-1", "a-row-over-the-cap"],
+    )
+    def test_softmax_backward_in_chunks_sums_as_one_pass(self, monkeypatch, shape, axis, cap, dtype):
+        """Chunks of at most `cap[0] * cap[1]` values, the last one partial:
+        3 rows of the last axis, 2 slices, or runs of 6, 17 or 1 rows of a
+        slice, whose sums carry over from run to run (one row even where it
+        is larger than the cap); each sum is bit for bit the one over the
+        whole array."""
+        monkeypatch.setattr(T, "_SOFTMAX_BLOCK_BYTES", cap[0] * cap[1] * np.dtype(dtype).itemsize)
+        rng = np.random.default_rng(45)
+        x = Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+        r = rng.normal(size=shape).astype(dtype)
+        y = T.softmax(x, axis=axis)
+        T.backward((y * r).sum())
+        ax = axis % len(shape)
+        pre, n = int(np.prod(shape[:ax])), shape[ax]
+        y3, r3 = y.data.reshape(pre, n, -1), r.reshape(pre, n, -1)
+        expected = (r3 - (r3 * y3).sum(axis=1, keepdims=True)) * y3
+        assert np.array_equal(x.grad, expected.reshape(shape))
+
+
+def test_dual_softmax_backward_peaks_two_score_arrays_above_its_tape():
+    """mul writes one side's product into the gradient it owns, softmax works
+    in the gradient it receives and the scores add the second softmax's
+    gradient into the first's: backward needs two L x L arrays above its
+    tape and a softmax chunk's scratch per part, not three arrays or more."""
+    n = 1024
+    f = Tensor(np.random.default_rng(46).standard_normal((2, n, 8), dtype=np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        sim = (f[:1] @ f[1:].transpose(0, 2, 1)) * 0.125
+        loss = T.gather_rows((T.softmax(sim, axis=2) * T.softmax(sim, axis=1)).reshape(-1), [0, 17, 17]).sum()
+        del sim
+        tape = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        T.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scores = n * n * 4
+    assert peak - tape <= 2 * scores + T._PARTS * T._SOFTMAX_BLOCK_BYTES + (256 << 10), f"{(peak - tape) / scores:.2f} score arrays"
+    assert np.isfinite(f.grad).all()
 
 
 # op, d(out)/da and d(out)/db as arrays of the broadcast shape
