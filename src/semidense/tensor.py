@@ -34,26 +34,25 @@ reassigned.  Under `no_grad` no node is made.
 Gradient ownership: a leaf owns its `.grad`, a C-contiguous array of its own
 dtype and shape that callers may update in place.  It is None until
 backward first reaches the leaf, and `zero_grad` sets it to None again,
-which frees it.  The first gradient to reach a leaf becomes its `.grad` as
-it is when two things hold: the op made that array for this one input and
-keeps no reference to it (a gradient the op computes, as conv2d, linear,
-batchnorm2d, matmul, mul and the unary ops do, or a sum that broadcasting
-made), and it is a writeable, C-contiguous ndarray of the leaf's dtype.
-Any other array is copied: one an op passes on (the array add hands both
-its inputs, a reshaped, transposed, sliced or broadcast view), or one of
-another dtype.  Later gradients add into the leaf's array in place, and
-setting `.grad` stores a copy.  An inner node owns its gradient when
-nothing else holds that array: an op made it for this one input, `_accum`
-made it (a sum, a cast, or a sum over broadcast axes), or `reshape` or
-`transpose` passed on a view of a gradient they owned.  Any other gradient
-an inner node takes is borrowed (the array add hands both its inputs,
-sub's first input, concat's slices, tsum's broadcast view), and `_accum`
-makes it read-only as it stores it; so a gradient's `writeable` flag tells
-the closure that receives it whether it owns it, and a write into a
-borrowed one raises instead of changing another node's gradient.  An owned
-gradient that is C-contiguous is written in place in three places only:
-`_accum` adds a later gradient into it, `mul` writes one side's product
-into it (`_into`), and `softmax` computes its input gradient in it.  A
+which frees it.  One rule says who owns a gradient: a writeable gradient
+belongs to the node that receives it, leaf or inner node.  An op that hands
+one array to more than one input makes it read-only first: add when both
+inputs need a gradient, and concat for its slices; tsum's broadcast view is
+read-only already.  Any other array an op hands on goes to one input
+only: a new one it computes (conv2d, linear, batchnorm2d, matmul, mul and
+the unary ops), or the gradient it received (sub's first input, add's one
+input that needs a gradient) or a reshaped or transposed view of it, which
+the input owns where the op's node owned that gradient.  A sum, a cast or
+a sum over broadcast axes that `_accum` makes is new, and so owned.  A leaf
+takes its first gradient as it is where it owns it, it is C-contiguous
+(`_owns`) and an ndarray of the leaf's dtype, and a copy otherwise; later
+gradients add into the leaf's array in place, and setting `.grad` stores
+a copy.  So a gradient's `writeable` flag tells the closure that
+receives it whether it owns it, and a write into a borrowed one raises
+instead of changing another node's gradient.  An owned gradient that is
+C-contiguous is written in place in three places only: `_accum` adds a
+later gradient into it, `mul` writes one side's product into it
+(`_into`), and `softmax` computes its input gradient in it.  A
 strided owned view is not written: a product written into one hands the
 next op a strided gradient where a new product is C-contiguous, and the
 sums of a later batch norm then add in another order.  So every value is
@@ -270,7 +269,7 @@ class Node:
     drops the closure and sets `parents` to None, so an op or a backward
     that later reaches the node raises instead of taking it for a leaf.
     `grad`, `shape` and `dtype` follow the rules of the module docstring:
-    an inner node owns its `grad` exactly when the array is writeable.
+    a node owns its `grad` exactly when the array is writeable.
     """
 
     __slots__ = ("backward", "parents", "grad", "shape", "dtype")
@@ -288,7 +287,8 @@ class Tensor:
 
     `data` is a float32 or float64 numpy array: the constructor casts other
     real data to float32, and other data (complex, None) are a ValueError,
-    as is setting `data` to anything but such an array.  The constructor
+    as is setting `data` to anything but such an array, or to one of
+    another shape or dtype while a leaf holds a gradient.  The constructor
     stores a C-contiguous array, but an op's output may be a strided view
     of its input (`transpose`, basic-slice indexing); every op accepts
     either.  `requires_grad` is True exactly when the tensor has a node,
@@ -321,10 +321,13 @@ class Tensor:
         if not isinstance(value, np.ndarray) or value.dtype not in (np.float32, np.float64):
             got = f"an array of dtype {value.dtype}" if isinstance(value, np.ndarray) else f"a {type(value).__name__}"
             raise ValueError(f"Tensor.data must be a float32 or float64 ndarray, got {got}")
-        self._data = value
         node = self._node
         if node is not None and node.backward is None:  # a leaf's gradient follows its data
+            if node.grad is not None and (value.shape, value.dtype) != (node.shape, node.dtype):
+                held, new = f"{node.grad.dtype} of shape {node.grad.shape}", f"{value.dtype} of shape {value.shape}"
+                raise ValueError(f"Tensor.data: the leaf holds a gradient of {held}, the new data is {new}; set grad to None first")
             node.shape, node.dtype = value.shape, value.dtype
+        self._data = value
 
     @property
     def requires_grad(self) -> bool:
@@ -463,15 +466,15 @@ def backward(loss: Tensor) -> None:
     """Run reverse-mode accumulation from a scalar loss.
 
     Each node's closure runs once, on the sum of the gradients its consumers
-    sent.  A leaf takes its first gradient as it is where its op made that
-    array for it alone, and a copy otherwise (see "Gradient ownership" in
-    the module docstring), and adds later ones into it; one that backward
-    does not reach keeps the `.grad` it had, None after `zero_grad`.  A
-    closure receives its node's gradient writeable where the node owns it
-    and read-only where it is borrowed, and may write into it only in the
-    first case.  After backward every inner node, the loss included, has
-    `.grad` None, and the tape is released node by node as it unwinds: a
-    second backward through any of it raises RuntimeError.
+    sent.  A writeable gradient belongs to the node that receives it (see
+    "Gradient ownership" in the module docstring): a leaf takes its first
+    gradient as it is where it owns it, and a copy otherwise, and adds later
+    ones into it; one that backward does not reach keeps the `.grad` it had,
+    None after `zero_grad`.  A closure may write into the gradient it
+    receives only where that is writeable.  After backward every inner
+    node, the loss included, has `.grad` None, and the tape is released
+    node by node as it unwinds: a second backward through any of it raises
+    RuntimeError.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -500,7 +503,7 @@ def backward(loss: Tensor) -> None:
             if p not in visited:
                 stack.append((p, False))
 
-    _accum(root, np.ones(root.shape, root.dtype), fresh=True)
+    _accum(root, np.ones(root.shape, root.dtype))
     while topo:
         node = topo.pop()  # popped, so a node nobody else holds is freed once used
         fn, g = node.backward, node.grad
@@ -511,30 +514,22 @@ def backward(loss: Tensor) -> None:
             fn(g)
 
 
-def _accum(node: Node | None, g, fresh: bool = False):
+def _accum(node: Node | None, g):
     """Add gradient `g`, summed down to the node's shape where it was broadcast,
     into `node.grad` under the ownership rule of this module; None is a no-op.
 
-    `fresh` says that the closure hands `g` to this one input and keeps no
-    reference to it: an array it made, which a leaf may take as its own, or,
-    for an inner node only, a view of a gradient it owned.  An inner node
-    takes its first gradient as it is, made read-only unless `fresh` or made
-    here, and adds a later one into it in place where it owns a
+    The node owns `g` exactly where it is writeable.  A leaf takes its first
+    gradient as it is where it owns a C-contiguous ndarray of its dtype, and
+    a copy otherwise.  An inner node takes its first gradient as it is, cast
+    to its dtype.  Either adds a later one in place where it owns a
     C-contiguous gradient; otherwise the sum is a new array, which it owns."""
     if node is None:
         return
-    given = g
     g = _unbroadcast(g, node.shape)
     if node.backward is None:  # a leaf: owns its first gradient, then adds in place
         if node.grad is not None:
             node.grad += g
-        elif (
-            (fresh or g is not given)  # a sum that broadcasting made is fresh too
-            and g.__class__ is np.ndarray
-            and g.dtype == node.dtype
-            and g.flags.c_contiguous
-            and g.flags.writeable
-        ):
+        elif g.__class__ is np.ndarray and g.dtype == node.dtype and _owns(g):
             node.grad = g
         else:
             node.grad = _leaf_copy(g, node.dtype)
@@ -542,8 +537,6 @@ def _accum(node: Node | None, g, fresh: bool = False):
     if g.__class__ is not np.ndarray or g.dtype != node.dtype:
         g = np.asarray(g, dtype=node.dtype)  # 0-d * float gives a numpy scalar
     if node.grad is None:
-        if not fresh and g is given:  # borrowed: another input or a later slice may read it
-            g.flags.writeable = False
         node.grad = g
     elif _owns(node.grad):
         node.grad += g
@@ -552,7 +545,7 @@ def _accum(node: Node | None, g, fresh: bool = False):
 
 
 def _owns(g: np.ndarray) -> bool:
-    """Whether an inner node's gradient may be written in place: the node
+    """Whether a node's gradient may be kept or written in place: the node
     owns it (it is writeable) and it is C-contiguous."""
     return g.flags.writeable and g.flags.c_contiguous
 
@@ -587,6 +580,8 @@ def add(a: Tensor, b) -> Tensor:
     na, nb = a._node, b._node
 
     def bw(g):
+        if na is not None and nb is not None:  # one array for both inputs: neither owns it
+            g.flags.writeable = False
         _accum(na, g)
         _accum(nb, g)
 
@@ -602,7 +597,7 @@ def sub(a, b) -> Tensor:
     def bw(g):
         _accum(na, g)
         if nb is not None:
-            _accum(nb, -g, fresh=True)
+            _accum(nb, -g)
 
     return _make(a.data - b.data, (na, nb), bw)
 
@@ -645,9 +640,9 @@ def mul(a: Tensor, b) -> Tensor:
         if nb is not None:  # made first, so that a's product may then overwrite g
             gb = _product(g, ad, out=_into(g, ad) if na is None else None)
         if na is not None:
-            _accum(na, _product(g, bd, out=_into(g, bd)), fresh=True)
+            _accum(na, _product(g, bd, out=_into(g, bd)))
         if nb is not None:
-            _accum(nb, gb, fresh=True)
+            _accum(nb, gb)
 
     return _make(_product(a.data, b.data), (na, nb), bw)
 
@@ -663,7 +658,7 @@ def pow_scalar(a: Tensor, e: float) -> Tensor:
         base = ad
         if e < 1:  # base ** (e - 1) is infinite at a zero base: clamp it to the smallest normal
             base = np.where(ad == 0, np.finfo(ad.dtype).tiny, ad)
-        _accum(na, g * e * base ** (e - 1), fresh=True)
+        _accum(na, g * e * base ** (e - 1))
 
     return _make(ad**e, (na,), bw)
 
@@ -674,7 +669,7 @@ def log(a: Tensor) -> Tensor:
     na, ad = a._node, a.data
 
     def bw(g):
-        _accum(na, g / ad, fresh=True)
+        _accum(na, g / ad)
 
     return _make(np.log(ad), (na,), bw)
 
@@ -695,7 +690,7 @@ def sigmoid(a: Tensor) -> Tensor:
     na = a._node
 
     def bw(g):
-        _accum(na, g * out_data * (1.0 - out_data), fresh=True)
+        _accum(na, g * out_data * (1.0 - out_data))
 
     return _make(out_data, (na,), bw)
 
@@ -704,7 +699,7 @@ def relu(a: Tensor) -> Tensor:
     out_data, na = np.maximum(a.data, 0), a._node
 
     def bw(g):
-        _accum(na, g * (out_data > 0), fresh=True)
+        _accum(na, g * (out_data > 0))
 
     return _make(out_data, (na,), bw)
 
@@ -713,7 +708,7 @@ def clamp_min(a: Tensor, lo: float) -> Tensor:
     na, ad = a._node, a.data
 
     def bw(g):
-        _accum(na, g * (ad >= lo), fresh=True)
+        _accum(na, g * (ad >= lo))
 
     return _make(np.maximum(ad, lo), (na,), bw)
 
@@ -747,8 +742,8 @@ def tmean(a: Tensor) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     na = a._node
 
-    def bw(g):  # an inner node owns the view of a gradient reshape owned; a leaf copies it
-        _accum(na, g.reshape(na.shape), fresh=na.backward is not None)
+    def bw(g):
+        _accum(na, g.reshape(na.shape))
 
     return _make(a.data.reshape(shape), (na,), bw)
 
@@ -756,8 +751,8 @@ def reshape(a: Tensor, shape) -> Tensor:
 def transpose(a: Tensor, axes) -> Tensor:
     na = a._node
 
-    def bw(g):  # as reshape's; axes of mixed sign sort into the inverse only once counted from the front
-        _accum(na, g.transpose(np.argsort([ax % g.ndim for ax in axes])), fresh=na.backward is not None)
+    def bw(g):  # axes of mixed sign sort into the inverse only once counted from the front
+        _accum(na, g.transpose(np.argsort([ax % g.ndim for ax in axes])))
 
     return _make(a.data.transpose(axes), (na,), bw)
 
@@ -776,7 +771,7 @@ def getitem(a: Tensor, key) -> Tensor:
             np.add.at(ga, key, g)
         else:
             ga[key] = g
-        _accum(na, ga, fresh=True)
+        _accum(na, ga)
 
     return _make(out_data, (na,), bw)
 
@@ -788,6 +783,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
     nodes = [t._node for t in tensors]
 
     def bw(g):
+        g.flags.writeable = False  # its slices are views of one array
         for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             if n is not None:
                 sl = [slice(None)] * g.ndim
@@ -826,15 +822,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if na is not None:
-            _accum(na, np.matmul(g, np.swapaxes(bd, -1, -2)), fresh=True)
+            _accum(na, np.matmul(g, np.swapaxes(bd, -1, -2)))
         if nb is not None:
-            _accum(nb, np.matmul(np.swapaxes(ad, -1, -2), g), fresh=True)
+            _accum(nb, np.matmul(np.swapaxes(ad, -1, -2), g))
 
     return _make(np.matmul(a.data, b.data), (na, nb), bw)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map over the last dimension: y = x @ weight.T + bias."""
+    if x.data.ndim < 1 or weight.data.ndim != 2:
+        raise ValueError(f"linear needs an input of at least 1 dim and a 2-D weight, got shapes {x.shape} and {weight.shape}")
     if x.data.shape[-1] != weight.data.shape[1]:
         raise ValueError(
             f"linear: input last dim {x.data.shape[-1]} != weight in dim {weight.data.shape[1]}"
@@ -854,12 +852,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     def bw(g):
         if nx is not None:
-            _accum(nx, np.matmul(g, wd), fresh=True)
+            _accum(nx, np.matmul(g, wd))
         if nw is not None:
             g2 = g.reshape(-1, g.shape[-1])
-            _accum(nw, g2.T @ xd.reshape(-1, xd.shape[-1]), fresh=True)
+            _accum(nw, g2.T @ xd.reshape(-1, xd.shape[-1]))
         if nb is not None:
-            _accum(nb, g.reshape(-1, g.shape[-1]).sum(axis=0), fresh=True)
+            _accum(nb, g.reshape(-1, g.shape[-1]).sum(axis=0))
 
     return _make(out_data, (nx, nw, nb), bw)
 
@@ -984,7 +982,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
                     gxs *= o3[at, a : a + run]
 
         _split(pre, 3 * gx.nbytes, grad, grain=2)
-        _accum(nx, gx, fresh=True)
+        _accum(nx, gx)
 
     return _make(out_data, (nx,), bw)
 
@@ -1001,7 +999,7 @@ def l2_normalize(x: Tensor) -> Tensor:
         # unit-norm branch also removes the radial component
         proj = (g * out_data).sum(axis=-1, keepdims=True)
         gx_full = (g - out_data * proj) / d
-        _accum(nx, np.where(clamped, gx, gx_full), fresh=True)
+        _accum(nx, np.where(clamped, gx, gx_full))
 
     return _make(out_data, (nx,), bw)
 
@@ -1161,9 +1159,9 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, *, padding: int) -> Tenso
                 np.matmul(w2.T, gyb, out=mat)  # the patch gradient overwrites the patches
                 _split(n, block_bytes(r0, r1), lambda s: _col2im(gx[s], cols[s], stride, padding, r0))
         if gw is not None:
-            _accum(nw, gw.reshape(nw.shape), fresh=True)
+            _accum(nw, gw.reshape(nw.shape))
         if gx is not None:
-            _accum(nx, gx, fresh=True)
+            _accum(nx, gx)
 
     return _make(out_data, (nx, nw), bw)
 
@@ -1259,10 +1257,10 @@ def batchnorm2d(
                 np.multiply(gs, per_channel(gd[s] * inv_std[s]), out=bs)
 
         _split(c, xd.nbytes + 2 * buf.nbytes, channels, grain=2)
-        _accum(ngamma, g_xhat, fresh=True)
-        _accum(nbeta, g_sum, fresh=True)
+        _accum(ngamma, g_xhat)
+        _accum(nbeta, g_sum)
         if nx is not None:
-            _accum(nx, buf, fresh=True)
+            _accum(nx, buf)
 
     return _make(out_data, (nx, ngamma, nbeta), bw)
 
@@ -1295,6 +1293,6 @@ def bilinear_upsample2x(x: Tensor) -> Tensor:
     nx = x._node
 
     def bw(g):
-        _accum(nx, uh.T @ g @ uw, fresh=True)
+        _accum(nx, uh.T @ g @ uw)
 
     return _make(uh @ x.data @ uw.T, (nx,), bw)

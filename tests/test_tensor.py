@@ -138,7 +138,7 @@ class TestConv2d:
         self.rows_per_block(monkeypatch, x, kernel, ow, 2)
         r = rng.standard_normal((2, 4, oh, ow)).astype(dtype)
         sent, accum = [], T._accum
-        monkeypatch.setattr(T, "_accum", lambda node, g, **kw: (sent.append((node, g)), accum(node, g, **kw)))
+        monkeypatch.setattr(T, "_accum", lambda node, g: (sent.append((node, g)), accum(node, g)))
 
         def run(a, pad):
             leaf, wt = Tensor(a, requires_grad=True), Tensor(w, requires_grad=True)
@@ -327,6 +327,13 @@ class TestLinear:
         y = T.linear(Tensor(x), Tensor(w), Tensor(b)).data
         ref = np.matmul(x, w.T) + b
         assert y.dtype == ref.dtype and np.array_equal(y, ref)
+
+    @pytest.mark.parametrize(
+        "xs,ws", [((2, 3), (3,)), ((2, 3), (1, 4, 3)), ((), (4, 1))], ids=["1-d-weight", "3-d-weight", "0-d-input"]
+    )
+    def test_a_weight_not_2d_or_an_input_below_1d_is_named(self, xs, ws):
+        with pytest.raises(ValueError, match=re.escape(f"a 2-D weight, got shapes {xs} and {ws}")):
+            T.linear(Tensor(np.ones(xs)), Tensor(np.ones(ws)), Tensor(np.ones(ws[:1])))
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="last dim"):
@@ -756,7 +763,7 @@ class TestGradientOwnership:
         """Record each (node, gradient) sent to `_accum` and the shape of each leaf copy."""
         sent, copies = [], []
         accum, copy = T._accum, T._leaf_copy
-        monkeypatch.setattr(T, "_accum", lambda node, g, **kw: (sent.append((node, g)), accum(node, g, **kw)))
+        monkeypatch.setattr(T, "_accum", lambda node, g: (sent.append((node, g)), accum(node, g)))
         monkeypatch.setattr(T, "_leaf_copy", lambda g, dtype: (copies.append(g.shape), copy(g, dtype))[1])
         return sent, copies
 
@@ -775,18 +782,23 @@ class TestGradientOwnership:
         assert not np.shares_memory(w.grad, b.grad)
 
     def test_pass_through_gradients_are_copied(self, monkeypatch):
+        """add hands both leaves one array and concat each a slice of one, both
+        read-only, so those leaves copy them; reshape hands its leaf a view of
+        the gradient reshape owned, which the leaf takes as it is."""
         rng = np.random.default_rng(25)
         a, b, c, d, e = (Tensor(rng.standard_normal((2, 3)), requires_grad=True) for _ in range(5))
         r1, r2, r3 = rng.standard_normal((2, 3)), rng.standard_normal(6), rng.standard_normal((2, 6))
         sent, copies = self.record(monkeypatch)
-        # add hands both leaves one array, reshape a view, concat a slice each
-        loss = ((a + b) * r1).sum() + (c.reshape(6) * r2).sum() + (T.concat([d, e], axis=1) * r3).sum()
+        reshaped = c.reshape(6)
+        loss = ((a + b) * r1).sum() + (reshaped * r2).sum() + (T.concat([d, e], axis=1) * r3).sum()
         T.backward(loss)
         leaves = (a, b, c, d, e)
-        assert len(copies) == len(leaves)
+        assert copies == [(2, 3)] * 4
+        assert c.grad is next(g for node, g in sent if node is c._node)
         for i, t in enumerate(leaves):
             assert t.grad.flags.c_contiguous and t.grad.flags.writeable
-            assert not any(np.shares_memory(t.grad, g) for _, g in sent)
+            own = (c._node, reshaped._node) if t is c else ()  # the view and the array reshape owned
+            assert not any(np.shares_memory(t.grad, g) for node, g in sent if node not in own)
             assert not any(np.shares_memory(t.grad, u.grad) for u in leaves[i + 1 :])
         for t, expected in zip(leaves, (r1, r1, r2.reshape(2, 3), r3[:, :3], r3[:, 3:])):
             np.testing.assert_array_equal(t.grad, expected)
@@ -797,7 +809,7 @@ class TestGradientOwnership:
         g32 = np.array([0.5, -1.5], np.float32)
         sent, copies = self.record(monkeypatch)
         # a float32 node whose closure hands the float64 leaf a new float32 array
-        t = T._make(np.array(3.0, np.float32), (node,), lambda g: T._accum(node, g32.copy(), fresh=True))
+        t = T._make(np.array(3.0, np.float32), (node,), lambda g: T._accum(node, g32.copy()))
         T.backward(t)
         assert copies == [(2,)]
         assert p.grad.dtype == np.float64 and not np.shares_memory(p.grad, sent[-1][1])
@@ -1128,6 +1140,24 @@ class TestOnlyRealFloatData:
         assert x.data is before and x._node is node
         assert (node.shape, node.dtype) == ((2,), np.float32)
 
+    @pytest.mark.parametrize(
+        "value,given", [(np.ones(3, np.float32), "float32 of shape (3,)"), (np.ones((2, 3)), "float64 of shape (2, 3)")],
+        ids=["shape", "dtype"],
+    )
+    def test_data_setter_refuses_another_shape_or_dtype_while_a_gradient_is_held(self, value, given):
+        """A stale gradient would broadcast into the next backward and keep
+        its old shape or dtype; with `grad` None the data may change."""
+        x = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+        T.backward((x * 2.0).sum())
+        before = x.data
+        with pytest.raises(ValueError, match=re.escape(f"gradient of float32 of shape (2, 3), the new data is {given}")):
+            x.data = value
+        assert x.data is before and (x._node.shape, x._node.dtype) == ((2, 3), np.float32)
+        x.grad = None
+        x.data = value
+        T.backward((x * 3.0).sum())
+        assert x.grad.shape == value.shape and x.grad.dtype == value.dtype
+
     def test_data_setter_takes_either_float_dtype(self):
         x = Tensor(np.ones(2, np.float32), requires_grad=True)
         x.data = np.zeros(3)  # a float64 copy of a model assigns its parameters so
@@ -1311,18 +1341,23 @@ class TestInPlaceGradients:
     @staticmethod
     def grads(monkeypatch, op, arrays, dtype, in_place=True):
         """Every input's gradient for the cotangent of `test_op_gradients`, and
-        each answer of `_owns`; all in-place writes are off unless `in_place`.
-        Asserts that no array `_accum` took without `fresh` has changed."""
-        owns, accum, answers, borrowed = T._owns, T._accum, [], []
+        each answer of `_owns` outside a leaf's `_accum`; all in-place writes
+        and leaf adoptions are off unless `in_place`.  Asserts that no array
+        `_accum` received read-only has changed."""
+        owns, accum, answers, borrowed, at_leaf = T._owns, T._accum, [], [], [False]
 
         def answer(g):
-            answers.append(in_place and owns(g))
-            return answers[-1]
+            ok = in_place and owns(g)
+            if not at_leaf[0]:
+                answers.append(ok)
+            return ok
 
-        def spy(node, g, **kw):
-            if not kw.get("fresh"):
+        def spy(node, g):
+            if not g.flags.writeable:
                 borrowed.append((g, np.array(g)))
-            accum(node, g, **kw)
+            at_leaf[0] = node is not None and node.backward is None
+            accum(node, g)
+            at_leaf[0] = False
 
         with monkeypatch.context() as m:
             m.setattr(T, "_owns", answer)
@@ -1332,18 +1367,26 @@ class TestInPlaceGradients:
             r = np.random.default_rng(18).normal(size=y.shape).astype(dtype)
             T.backward((y * r).sum())
         for g, before in borrowed:
-            assert np.array_equal(g, before), "an array handed on without `fresh` was written"
+            assert np.array_equal(g, before), "an array handed on read-only was written"
         return [t.grad for t in ts], answers
 
-    @pytest.mark.parametrize("shared", [False, True], ids=["owned", "shared"])
-    def test_a_closure_gets_its_gradient_writeable_exactly_when_its_node_owns_it(self, shared):
+    @pytest.mark.parametrize(
+        "build,owned",
+        [(lambda h, x: h * 1.0, True), (lambda h, x: h + x * 1.0, False),
+         (lambda h, x: T.concat([h, x * 1.0]), False), (lambda h, x: h + 1.0, True)],
+        ids=["owned", "shared", "concat", "add-one-input"],
+    )
+    def test_a_closure_gets_its_gradient_writeable_exactly_when_its_node_owns_it(self, build, owned):
+        """mul's product is h's own; add hands one array to both inputs and
+        concat a slice of one to each, which h borrows; add with one input
+        that needs a gradient hands it the gradient add owned."""
         x = Tensor(np.ones(3), requires_grad=True)
         seen = []
         h = T._make(x.data * 2.0, (x._node,), seen.append)  # a node that records its gradient
-        out = h + x * 1.0 if shared else h * 1.0  # add hands one array to both inputs
-        T.backward((out * np.arange(3.0)).sum())
-        assert seen[0].flags.writeable is not shared
-        if shared:
+        out = build(h, x)
+        T.backward((out * np.arange(float(out.shape[0]))).sum())
+        assert seen[0].flags.writeable is owned
+        if not owned:
             with pytest.raises(ValueError, match="read-only"):
                 seen[0] += 1.0
 
