@@ -4,13 +4,13 @@ of train/eval mode reaching every nested module; and of the tree being what
 the attributes hold now, lists of modules included."""
 
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from semidense import tensor as T
 from semidense.config import load_config
+from semidense.model import Matcher
 from semidense.module import BatchNorm2d, Conv2d, Linear, Module, Parameter
 from semidense.tensor import Tensor
 
@@ -273,21 +273,17 @@ def test_a_list_of_non_modules_adds_nothing(extra):
     assert len(net.parameters()) == 6
 
 
-def test_benchmark_graph_order(monkeypatch):
+def test_matcher_graph_order():
     """The clipped step sums the gradient norm over `parameters()` in this
-    order, so another order changes the bits of every step."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    from matcher import Matcher
-
+    order, so another order changes the bits of every step.  The attention
+    rounds alternate self and cross, each layer holding its own flag."""
     model = Matcher(load_config(overrides={"image_size": 64}), np.random.default_rng(0))
     stage = ["conv1.weight", "bn1.gamma", "bn1.beta", "conv2.weight", "bn2.gamma", "bn2.beta"]
-    names = [f"s{k}.{name}" for k in range(1, 6) for name in stage]
-    names += [
-        f"attn{r}_{kind}.{lin}.{p}"
-        for r in (0, 1) for kind in ("self", "cross") for lin in ("q", "k", "v", "merge") for p in ("weight", "bias")
-    ]
+    names = [f"stages.{k}.{name}" for k in range(5) for name in stage]
+    names += [f"attn.{r}.{lin}.{p}" for r in range(4) for lin in ("q", "k", "v", "merge") for p in ("weight", "bias")]
     names += ["proj.weight", "proj.bias", "gate.weight", "gate.bias", "head.weight", "head.bias"]
     assert len(names) == 68
     assert [name for name, _ in model.named_parameters()] == names
-    stats = [f"s{k}.bn{i}.running_{s}" for k in range(1, 6) for i in (1, 2) for s in ("mean", "var")]
+    stats = [f"stages.{k}.bn{i}.running_{s}" for k in range(5) for i in (1, 2) for s in ("mean", "var")]
     assert list(model.state_dict()) == names + stats
+    assert [layer.cross for layer in model.attn] == [False, True, False, True]
