@@ -8,11 +8,14 @@ COARSE_STRIDE = 8  # pixels per cell of the coarse grid, the 1/8 features
 
 
 def select_matches(cfg, conf: np.ndarray):
-    """Mutual nearest neighbours above ``theta_c``, best ``topk`` first.
+    """Mutual nearest neighbours above ``theta_c``, best ``topk`` first, in
+    the confidence (1, L, L) of one pair.
 
     Returns ``(i0, j1, finite)``; ``finite`` is False when the confidence
     holds a non-finite value (row and column maxima propagate NaN).
     """
+    if conf.shape[0] != 1:
+        raise ValueError(f"select_matches takes the confidence (1, L, L) of one pair; got shape {conf.shape}")
     c = conf[0]
     j = c.argmax(axis=1)
     row_max = c[np.arange(c.shape[0]), j]
@@ -25,8 +28,10 @@ def select_matches(cfg, conf: np.ndarray):
     return i0, j[i0], finite
 
 
-def match_coordinates(size: int, j1: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Refined image-1 pixel coordinates of matches ending in cells ``j1``."""
-    n = size // COARSE_STRIDE
+def match_coordinates(width: int, j1: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Refined image-1 pixel coordinates (x, y) of matches ending in cells
+    ``j1`` of a grid laid out in rows of ``width // COARSE_STRIDE`` cells,
+    ``width`` being the image width in pixels."""
+    n = width // COARSE_STRIDE
     centre = np.stack([j1 % n, j1 // n], axis=-1) * COARSE_STRIDE + (COARSE_STRIDE - 1) / 2.0
     return centre + offsets * COARSE_STRIDE

@@ -105,9 +105,11 @@ class Matcher(Module):
     def calibrate_batchnorm(self, images: np.ndarray) -> None:
         """Set every BN's running statistics from one no_grad batch.
 
-        An untrained model in eval mode would otherwise normalize with the
-        initial (0, 1) statistics, which no trained model has.  Each BN's
-        momentum and the training mode are restored even if the pass raises.
+        Every BN is in the extractor, so only the extractor runs, on images
+        that `features` would take.  An untrained model in eval mode would
+        otherwise normalize with the initial (0, 1) statistics, which no
+        trained model has.  Each BN's momentum and the training mode are
+        restored even if the pass raises.
         """
         bns = [bn for s in self.stages for bn in (s.bn1, s.bn2)]
         saved = [bn.momentum for bn in bns]
@@ -117,7 +119,7 @@ class Matcher(Module):
                 bn.momentum = 1.0
             self.train(True)
             with T.no_grad():
-                self.features(images)
+                self.extract(self._input(images), UNTRACED)
         finally:
             for bn, momentum in zip(bns, saved):
                 bn.momentum = momentum
@@ -153,14 +155,25 @@ class Matcher(Module):
         return T.softmax(sim, axis=2) * T.softmax(sim, axis=1)
 
     def head_offsets(self, i0: np.ndarray, j1: np.ndarray, feats: Tensor) -> Tensor:
-        """Per-axis soft-classified subpixel offsets (M, 2) for batch item 0."""
-        half = feats.shape[0] // 2
+        """Per-axis soft-classified subpixel offsets (M, 2) of one pair's matches."""
+        if feats.shape[0] != 2:
+            raise ValueError(f"head_offsets takes the tokens (2, L, C) of one pair; got shape {feats.shape}")
         f0 = T.gather_rows(feats[0], i0)
-        f1 = T.gather_rows(feats[half], j1)
+        f1 = T.gather_rows(feats[1], j1)
         logits = self.head(T.concat([f0, f1], axis=-1)).reshape(len(i0), 2, self.bins)
         return (T.softmax(logits, axis=-1) * self.centres).sum(axis=-1)
 
     # -- graph ----------------------------------------------------------------
+
+    def _input(self, images: np.ndarray) -> Tensor:
+        """``images`` as a tensor if they are (2N, 1, H, W) with H and W
+        multiples of the deepest stride, else a ValueError naming their shape."""
+        shape, stride = np.shape(images), 2 ** len(self.stages)
+        paired = len(shape) == 4 and shape[0] > 0 and shape[0] % 2 == 0 and shape[1] == 1
+        if not (paired and all(s > 0 and s % stride == 0 for s in shape[2:])):
+            raise ValueError(f"images must be (2N, 1, H, W), 2N even, H and W positive multiples of {stride}; "
+                             f"got shape {shape}")
+        return Tensor(images)
 
     def features(self, images: np.ndarray, tr=UNTRACED) -> tuple[Tensor, Tensor]:
         """Fused 1/8 tokens (2N, L, C3) and the confidence (N, L, L).
@@ -168,12 +181,7 @@ class Matcher(Module):
         ``images`` is (2N, 1, H, W): the N image-0 crops, then their N
         image-1 partners.  H and W are multiples of the deepest stride, 32.
         """
-        shape, stride = np.shape(images), 2 ** len(self.stages)
-        paired = len(shape) == 4 and shape[0] > 0 and shape[0] % 2 == 0 and shape[1] == 1
-        if not (paired and all(s > 0 and s % stride == 0 for s in shape[2:])):
-            raise ValueError(f"images must be (2N, 1, H, W), 2N even, H and W positive multiples of {stride}; "
-                             f"got shape {shape}")
-        feats = self.extract(Tensor(images), tr)
+        feats = self.extract(self._input(images), tr)
         deep = feats[4]
         b, c, h, w = deep.shape
         tokens = deep.reshape(b, c, h * w).transpose(0, 2, 1)
@@ -186,8 +194,11 @@ class Matcher(Module):
 
 
 def loss(cfg, conf: Tensor, offsets: Tensor, i0: np.ndarray, j1: np.ndarray, target: np.ndarray) -> Tensor:
-    """Focal coarse loss on the ground-truth cells ``(i0, j1)`` plus the L2
-    loss of ``offsets`` against ``target``, an array of the same shape."""
+    """Focal coarse loss on the ground-truth cells ``(i0, j1)`` of one pair's
+    confidence (1, L, L) plus the L2 loss of ``offsets`` against ``target``,
+    an array of the same shape."""
+    if conf.shape[0] != 1:
+        raise ValueError(f"loss takes the confidence (1, L, L) of one pair; got shape {conf.shape}")
     if target.shape != offsets.shape:
         raise ValueError(f"target shape {target.shape} differs from offsets shape {offsets.shape}")
     n_cells = conf.shape[1]

@@ -889,16 +889,14 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     comes from the whole array, so the blocks and that order are the same
     in any part.  (Splitting the trailing columns instead measured no
     faster: 4096x4096 float32 on the 2-core box, 65 ms in one part and 68
-    in two.)  Backward splits on `pre` and writes the input gradient into
-    the gradient it receives where it owns it (`_into`), else into one new
-    array.  A part puts the products it sums into a scratch of its own, one
-    chunk of at most `_SOFTMAX_BLOCK_BYTES` at a time: whole slices, or,
-    where a slice is larger and post > 1, runs of its rows (so a 1 x L x L
-    input needs no L x L scratch).  numpy adds the rows of a slice in order
-    when post > 1, so a run's products follow the sums of the runs before
-    it and the sums go on in that order; it sums a row pairwise when
-    post == 1, so a row is never cut.  Every sum thus adds the same
-    products in the same order as over the whole part.
+    in two.)  Backward splits on `pre` and writes the input gradient,
+    (g - dots) * out, into the gradient it receives where it owns it
+    (`_into`), else into one new array.  Each part takes its dots, the sums
+    of g * out along the axis, in one `np.einsum`, which keeps no array of
+    the products.  einsum adds the rows of a slice in order when post > 1,
+    as numpy's sum over that axis does, so those dots are bit for bit the
+    sums of the products; a row of the last axis it adds in an order of its
+    own, not numpy's pairwise one, but the same in any part.
     """
     data = x.data
     if not -data.ndim <= axis < data.ndim:
@@ -962,24 +960,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         if gx is None:
             gx = np.empty(out_data.shape, np.result_type(g, out_data))
         g3, gx3 = g.reshape(pre, n, post), gx.reshape(pre, n, post)
-        run = max(1, n if post == 1 else min(n, _SOFTMAX_BLOCK_BYTES // max(1, post * gx.itemsize)))
-        rows = max(1, _SOFTMAX_BLOCK_BYTES // max(1, run * post * gx.itemsize))
 
         def grad(s):
-            scratch = np.empty((min(rows, s.stop - s.start), run + 1, post), gx.dtype)
-            for i in range(s.start, s.stop, rows):
-                at = slice(i, min(i + rows, s.stop))
-                m = at.stop - at.start
-                for a in range(0, n, run):
-                    k = min(run, n - a)
-                    np.multiply(g3[at, a : a + k], o3[at, a : a + k], out=scratch[:m, 1 : k + 1])
-                    if a:  # the sums so far head the run's products
-                        scratch[:m, :1] = dots
-                    dots = scratch[:m, (0 if a else 1) : k + 1].sum(axis=1, keepdims=True)
-                for a in range(0, n, run):
-                    gxs = gx3[at, a : a + run]
-                    np.subtract(g3[at, a : a + run], dots, out=gxs)
-                    gxs *= o3[at, a : a + run]
+            dots = np.einsum("pnq,pnq->pq", g3[s], o3[s])[:, None]
+            np.subtract(g3[s], dots, out=gx3[s])
+            gx3[s] *= o3[s]
 
         _split(pre, 3 * gx.nbytes, grad, grain=2)
         _accum(nx, gx)

@@ -160,3 +160,53 @@ def test_swapping_the_images_swaps_the_tokens_and_transposes_the_confidence(trai
     assert np.array_equal(fused_swapped.data, fused.data[[1, 0]])
     c, c_swapped = conf.data[0], conf_swapped.data[0]
     assert np.abs(c_swapped - c.T).max() <= 1e-5 * np.abs(c).max()
+
+
+def test_calibration_runs_the_extractor_only(monkeypatch):
+    """Every BN is in the extractor, so calibration runs no attention,
+    injection or dual-softmax, and still sets every BN's statistics."""
+    model = M.Matcher(load_config(overrides={"image_size": 64}), np.random.default_rng(0)).train(False)
+
+    def refuse(*args):
+        raise AssertionError("calibration ran a layer after the extractor")
+
+    for cls, name in ((M.Attention, "__call__"), (M.Matcher, "inject"), (M.Matcher, "dual_softmax")):
+        monkeypatch.setattr(cls, name, refuse)
+    model.calibrate_batchnorm(np.random.default_rng(1).random((2, 1, 64, 64), dtype=np.float32))
+    bns = [bn for stage in model.stages for bn in (stage.bn1, stage.bn2)]
+    assert all(bn.running_var.min() != 1.0 for bn in bns)
+
+
+def test_select_matches_rejects_more_than_one_pair():
+    with pytest.raises(ValueError, match=re.escape("got shape (2, 4, 4)")):
+        matching.select_matches(load_config(), np.full((2, 4, 4), 0.25, dtype=np.float32))
+
+
+def test_head_offsets_rejects_more_than_one_pair():
+    cfg = load_config(overrides={"image_size": 64})
+    model = M.Matcher(cfg, np.random.default_rng(0))
+    feats = T.Tensor(np.zeros((4, 64, cfg.channels[2]), dtype=np.float32))
+    with pytest.raises(ValueError, match=re.escape(f"got shape (4, 64, {cfg.channels[2]})")):
+        model.head_offsets(np.arange(3), np.arange(3), feats)
+
+
+def test_loss_rejects_more_than_one_pair():
+    conf = T.Tensor(np.full((2, 4, 4), 0.25, dtype=np.float32))
+    offsets = T.Tensor(np.zeros((3, 2), dtype=np.float32))
+    with pytest.raises(ValueError, match=re.escape("got shape (2, 4, 4)")):
+        M.loss(load_config(), conf, offsets, np.arange(3), np.arange(3), np.zeros((3, 2)))
+
+
+def test_match_coordinates_of_a_non_square_pair():
+    """A 64 x 96 pair has an 8 x 12 grid of cells in rows of 12: cell 12 is
+    row 1, column 0, and the cell centres cover the image's width and height."""
+    model = M.Matcher(load_config(overrides={"image_size": 64}), np.random.default_rng(0))
+    images = np.random.default_rng(1).random((2, 1, 64, 96), dtype=np.float32)
+    with T.no_grad():
+        _, conf = model.features(images)
+    assert conf.shape == (1, 96, 96)
+    cells = np.arange(conf.shape[2])
+    xy = matching.match_coordinates(width=images.shape[3], j1=cells, offsets=np.zeros((len(cells), 2)))
+    assert np.array_equal(xy[12], [3.5, 11.5])
+    assert np.array_equal(np.unique(xy[:, 0]), 3.5 + 8 * np.arange(12))
+    assert np.array_equal(np.unique(xy[:, 1]), 3.5 + 8 * np.arange(8))
