@@ -3,13 +3,16 @@
 numpy arrays hold the data; every differentiable op records a closure that
 scatters upstream gradients back to its inputs.  float32 is the working
 precision for training and inference, float64 exists for gradient checking.
-Ops are pure functions over immutable inputs; every reduction runs in a
-fixed order, so equal seeds give bitwise equal results for a given
-OpenBLAS thread count (another count may cut a matrix product differently
-and change the last bit of some of its sums).  Convolution has one
-code path, an im2col-GEMM (see `conv2d`).  Forward gives each image its own
-patch region; backward folds the batch into the GEMM columns, so it runs
-one weight-gradient GEMM per block, not a weight-sized product per image.
+Ops are pure functions over immutable inputs, with one exception: under
+`no_grad`, `a * b` may write its product into the array of a temporary
+left operand that nothing else can read (see `Tensor.__mul__`); the
+public `mul` never does.  Every reduction runs in a fixed order, so
+equal seeds give bitwise equal results for a given OpenBLAS thread count
+(another count may cut a matrix product differently and change the last
+bit of some of its sums).  Convolution has one code path, an im2col-GEMM
+(see `conv2d`).  Forward gives each image its own patch region; backward
+folds the batch into the GEMM columns, so it runs one weight-gradient GEMM
+per block, not a weight-sized product per image.
 Patches are filled one block of output rows at a time into a buffer of a
 few MB, so they stay in cache for the GEMMs that read them; backward
 re-extracts them from the input instead of keeping the kh*kw times larger
@@ -110,6 +113,7 @@ import ctypes
 import glob
 import math
 import os
+import sys
 import threading
 from contextlib import contextmanager
 
@@ -386,7 +390,27 @@ class Tensor:
         return sub(other, self)
 
     def __mul__(self, other):
-        return mul(self, other)
+        """`mul(self, other)`, into this tensor's own array where nothing
+        else can read it.
+
+        That holds under `no_grad` when this tensor is a temporary, has no
+        node, and its array is held by it alone, owns its memory, is
+        C-contiguous and writeable, and has the product's shape and dtype,
+        the other operand being of its shape or a scalar.  A temporary is a left operand
+        that no name, attribute or container holds: one whose reference
+        count, read as the first statement here, is the count `_Probe` reads
+        for one at import (`_TEMPORARY_REFS`).  Where a temporary and a named
+        operand read the same count, or `sys.getrefcount` does not exist,
+        the count is 0 and no array is reused.  The product's values are
+        those of a new array, bit for bit.
+
+        The count cannot tell a temporary from a Tensor that C code holds
+        by a borrowed reference and multiplies, as a numpy object array's
+        element loop does: that would overwrite the element's data, so
+        such use is unsupported under `no_grad`.
+        """
+        refs = _refcount(self)
+        return _mul_temporary(self, other) if refs == _TEMPORARY_REFS else mul(self, other)
 
     def __pow__(self, e):
         return pow_scalar(self, e)
@@ -645,6 +669,44 @@ def mul(a: Tensor, b) -> Tensor:
             _accum(nb, gb)
 
     return _make(_product(a.data, b.data), (na, nb), bw)
+
+
+def _mul_temporary(a: Tensor, b) -> Tensor:
+    """`a * b` for a temporary `a` (see `Tensor.__mul__`): into `a`'s array
+    where the rule allows it, else `mul(a, b)`."""
+    if _grad_enabled or a._node is not None or _refcount(a._data) != 2:
+        return mul(a, b)
+    b = _wrap(b, a)
+    x, y = a._data, b._data
+    flags = x.flags
+    fits = y.shape in (x.shape, ()) and np.result_type(x, y) == x.dtype
+    if flags.owndata and flags.c_contiguous and flags.writeable and fits:
+        return _make(_product(x, y, out=x), (), None)
+    return mul(a, b)
+
+
+_refcount = getattr(sys, "getrefcount", lambda obj: -1)
+
+
+class _Probe:
+    """A left operand whose `__mul__` reads its reference count as `Tensor.__mul__` does."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        refs = _refcount(self)
+        return refs
+
+
+def _temporary_refs(probe: type) -> int:
+    """The count a temporary `probe()` reads in its `__mul__`, or 0 where a
+    named one reads the same."""
+    named = probe()
+    temporary = probe() * None
+    return temporary if temporary != named * None else 0
+
+
+_TEMPORARY_REFS = _temporary_refs(_Probe)
 
 
 def pow_scalar(a: Tensor, e: float) -> Tensor:

@@ -1464,6 +1464,116 @@ def test_dual_softmax_backward_peaks_two_score_arrays_above_its_tape():
     assert np.isfinite(f.grad).all()
 
 
+def test_no_grad_dual_softmax_peaks_two_score_arrays_above_its_scores():
+    """Under no_grad a product goes into its temporary left operand's array:
+    the dual softmax needs two L x L arrays above the scores, not three, and
+    scaling a matrix product one, not two."""
+    n = 1024
+    s = Tensor(np.random.default_rng(47).standard_normal((n, n), dtype=np.float32))
+    peaks = []
+    with T.no_grad():
+        for make in (lambda: T.softmax(s, axis=-1) * T.softmax(s, axis=0), lambda: (s @ s) * 0.5):
+            make()  # the first split starts the thread pool
+            tracemalloc.start()
+            try:
+                out = make()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del out
+    scores = n * n * 4
+    assert peaks[0] <= 2 * scores + (256 << 10), f"{peaks[0] / scores:.2f} score arrays"
+    assert peaks[1] <= scores + (256 << 10), f"{peaks[1] / scores:.2f} score arrays"
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def _noted(t: Tensor, at: list) -> Tensor:
+    """`t`, once the address of its array's data is appended to `at`."""
+    at.append(_address(t.data))
+    return t
+
+
+def _kept(t: Tensor, into: list) -> Tensor:
+    """`t`, once its array is appended to `into`."""
+    into.append(t.data)
+    return t
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] not in ((3, 10), (3, 11)),
+    reason="pinned on the interpreters CI runs",
+)
+def test_probe_tells_a_temporary_operand_apart_on_the_ci_interpreters():
+    assert T._TEMPORARY_REFS > 0
+
+
+def test_probe_reads_zero_where_the_counts_cannot_tell():
+    class Blind:
+        def __mul__(self, other):
+            return 3
+
+    assert T._temporary_refs(Blind) == 0
+
+
+class TestTemporaryProduct:
+    """Under no_grad `a * b` writes into a temporary left operand's array,
+    and never into one that anything else can read."""
+
+    @pytest.mark.skipif(not T._TEMPORARY_REFS, reason="this interpreter cannot tell a temporary operand apart")
+    def test_temporary_left_operand_holds_the_product_bit_for_bit(self):
+        s = Tensor(np.random.default_rng(48).standard_normal((1024, 1024), dtype=np.float32))
+        at = []
+        with T.no_grad():
+            dual = _noted(T.softmax(s, axis=-1), at) * T.softmax(s, axis=0)
+            scaled = _noted(s @ s, at) * 0.5
+            a, b, mm = T.softmax(s, axis=-1), T.softmax(s, axis=0), s @ s
+            dual_named, scaled_named = a * b, mm * 0.5
+        assert [_address(dual.data), _address(scaled.data)] == at
+        assert dual.dtype == dual_named.dtype and dual.data.tobytes() == dual_named.data.tobytes()
+        assert scaled.dtype == scaled_named.dtype and scaled.data.tobytes() == scaled_named.data.tobytes()
+
+    def test_named_left_operand_keeps_its_data(self):
+        s = Tensor(np.random.default_rng(49).standard_normal((64, 64), dtype=np.float32))
+        with T.no_grad():
+            a = T.softmax(s, axis=-1)
+            before = a.data.copy()
+            p = a * T.softmax(s, axis=0)
+        assert a.data.tobytes() == before.tobytes()
+        assert not np.shares_memory(p.data, a.data)
+
+    def test_no_array_another_holder_can_read_is_reused(self):
+        x = np.random.default_rng(50).standard_normal((3, 4), dtype=np.float32)
+        kept, at = [], []
+        with T.no_grad():
+            held = [Tensor(x) + 0.0]
+            products = [
+                _noted(_kept(Tensor(x) + 0.0, kept), at) * 2.0,
+                _noted((Tensor(x) + 0.0).reshape(4, 3), at) * 2.0,
+                _noted((Tensor(x) + 0.0).transpose(1, 0), at) * 2.0,
+                _noted(held[0], at) * 2.0,
+                _noted(Tensor(x + 0.0, requires_grad=True), at) * 2.0,
+                _noted(Tensor(x) + 0.0, at) * Tensor(x.astype(np.float64)),
+                _noted(Tensor(x[0]) + 0.0, at) * Tensor(x),
+            ]
+        assert all(_address(p.data) != a for p, a in zip(products, at))
+        assert kept[0].tobytes() == held[0].data.tobytes() == x.tobytes()
+        assert products[-2].dtype == np.float64 and products[-1].shape == x.shape
+
+    def test_grad_mode_reuses_nothing(self):
+        rng = np.random.default_rng(51)
+        x = rng.standard_normal((3, 4), dtype=np.float32)
+        w = Tensor(rng.standard_normal((3, 4), dtype=np.float32), requires_grad=True)
+        at = []
+        p = _noted(Tensor(x) + 0.0, at) * w
+        q = _noted(w + 0.0, at) * 2.0
+        assert _address(p.data) != at[0] and _address(q.data) != at[1]
+        T.backward((p + q).sum())
+        assert w.grad.tobytes() == (x + np.float32(2.0)).tobytes()
+
+
 # op, d(out)/da and d(out)/db as arrays of the broadcast shape
 BROADCAST_OPS = {
     "add": (T.add, lambda a, b: np.ones_like(a * b), lambda a, b: np.ones_like(a * b)),
