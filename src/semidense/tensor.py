@@ -94,11 +94,12 @@ the same values in the same order as with one part, so the results depend
 neither on the count nor on which thread runs a part; the tests check this
 bit for bit.  The ops that split: conv2d per image, its forward in one
 split over every patch block, since each image fills its own region of the
-patch buffer (see `conv2d`), softmax over rows or blocks (see `softmax`),
-batchnorm2d over channels, and mul of two arrays of one shape or by a
-scalar over the leading axis (`_product`).  relu, matmul, linear and
-bilinear_upsample2x never split: relu is one numpy call and each matrix
-product one `np.matmul` on OpenBLAS's own threads, since splitting them
+patch buffer (see `conv2d`), softmax's forward over rows or blocks (see
+`softmax`), batchnorm2d over channels, and mul of two arrays of one shape
+or by a scalar over the leading axis (`_product`).  relu, matmul, linear,
+bilinear_upsample2x and softmax's backward never split: relu is one numpy
+call, each matrix product one `np.matmul` on OpenBLAS's own threads, and
+softmax's backward one pass over the whole array, since splitting them
 made no workload faster.  With a count of one or without OpenBLAS no op
 splits and no thread starts.  OpenBLAS's thread count and workers are
 process-wide, and a split changes them under any other thread: engine ops
@@ -173,7 +174,9 @@ _PARTS = max(1, _BLAS[0]()) if _BLAS else 1
 # more, ran 1.3-2x faster in two parts (batch norm, softmax rows, products,
 # conv blocks); in parts of 0.25-1 MB most ran slower, and with 0.5 MB
 # parts the 64 px training step, whose largest op stays under 4 MB, lost
-# 15%.  More than two parts were never measured at this size.
+# 15%.  More than two parts were never measured at this size.  As with
+# relu, a lone large softmax backward may run faster split, but no
+# workload does, so it runs in one pass.
 _PART_BYTES = 2 << 20
 
 
@@ -951,14 +954,14 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     comes from the whole array, so the blocks and that order are the same
     in any part.  (Splitting the trailing columns instead measured no
     faster: 4096x4096 float32 on the 2-core box, 65 ms in one part and 68
-    in two.)  Backward splits on `pre` and writes the input gradient,
-    (g - dots) * out, into the gradient it receives where it owns it
-    (`_into`), else into one new array.  Each part takes its dots, the sums
-    of g * out along the axis, in one `np.einsum`, which keeps no array of
-    the products.  einsum adds the rows of a slice in order when post > 1,
-    as numpy's sum over that axis does, so those dots are bit for bit the
-    sums of the products; a row of the last axis it adds in an order of its
-    own, not numpy's pairwise one, but the same in any part.
+    in two.)  Backward is one pass over the whole (pre, n, post) view, with
+    no split: it writes the input gradient, (g - dots) * out, into the
+    gradient it receives where it owns it (`_into`), else into one new
+    array.  It takes the dots, the sums of g * out along the axis, in one
+    `np.einsum`, which keeps no array of the products.  einsum adds the
+    rows of a slice in order when post > 1, as numpy's sum over that axis
+    does, so those dots are bit for bit the sums of the products; a row of
+    the last axis it adds in an order of its own, not numpy's pairwise one.
     """
     data = x.data
     if not -data.ndim <= axis < data.ndim:
@@ -1022,13 +1025,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         if gx is None:
             gx = np.empty(out_data.shape, np.result_type(g, out_data))
         g3, gx3 = g.reshape(pre, n, post), gx.reshape(pre, n, post)
-
-        def grad(s):
-            dots = np.einsum("pnq,pnq->pq", g3[s], o3[s])[:, None]
-            np.subtract(g3[s], dots, out=gx3[s])
-            gx3[s] *= o3[s]
-
-        _split(pre, 3 * gx.nbytes, grad, grain=2)
+        dots = np.einsum("pnq,pnq->pq", g3, o3)[:, None]
+        np.subtract(g3, dots, out=gx3)
+        gx3 *= o3
         _accum(nx, gx)
 
     return _make(out_data, (nx,), bw)
@@ -1041,12 +1040,9 @@ def l2_normalize(x: Tensor) -> Tensor:
     out_data, nx = x.data / d, x._node
 
     def bw(g):
-        clamped = n < d
-        gx = g / d
-        # unit-norm branch also removes the radial component
+        # a clamped slice was only scaled; a unit-norm one also loses its radial component
         proj = (g * out_data).sum(axis=-1, keepdims=True)
-        gx_full = (g - out_data * proj) / d
-        _accum(nx, np.where(clamped, gx, gx_full))
+        _accum(nx, (g - out_data * np.where(n < d, 0, proj)) / d)
 
     return _make(out_data, (nx,), bw)
 

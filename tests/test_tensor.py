@@ -505,6 +505,24 @@ class TestSoftmaxAndFriends:
         y = T.l2_normalize(Tensor(x))
         np.testing.assert_allclose(y.data, [[1e-2, 2e-2], [0.6, 0.8]], rtol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_l2_normalize_backward_is_each_branch_bit_for_bit(self, dtype):
+        """A slice below the clamp gets g / 1e-8, one above it
+        (g - y * <g, y>) / |x|, the quotients of the two-branch formula."""
+        rng = np.random.default_rng(74)
+        x, g = rng.standard_normal((2, 5, 6)).astype(dtype), rng.standard_normal((2, 5, 6)).astype(dtype)
+        x[0, 1] *= 1e-10
+        x[1, 3] = 0.0
+        t = Tensor(x, requires_grad=True)
+        y = T.l2_normalize(t)
+        T.backward((y * g).sum())
+        n = np.sqrt((x * x).sum(axis=-1, keepdims=True))
+        d = np.maximum(n, 1e-8)
+        proj = (g * y.data).sum(axis=-1, keepdims=True)
+        expected = np.where(n < d, g / d, (g - y.data * proj) / d)
+        assert (n < d).sum() == 2 and t.grad.dtype == dtype
+        assert np.array_equal(t.grad, expected)
+
 
 class TestBlockedSoftmax:
     """softmax with `_SOFTMAX_BLOCK_BYTES` cut to three slices, so that a
@@ -1690,11 +1708,19 @@ class TestThreadSplit:
     @pytest.mark.parametrize("parts", [2, 3])
     @pytest.mark.parametrize("block,axis", [(None, -1), (None, 1), (3, 1)], ids=["one-block--1", "one-block-1", "blocks-1"])
     def test_softmax(self, monkeypatch, splits, parts, block, axis):
+        """The forward splits; the backward is one pass."""
         x = 4.0 * np.random.default_rng(64).standard_normal((7, 5, 4), dtype=np.float32)
         if block:  # three slices per block; the last axis takes no blocks
             monkeypatch.setattr(T, "_SOFTMAX_BLOCK_BYTES", block * 4 * 7 * x.itemsize)
-        op = lambda x: T.softmax(x, axis=axis)
+        forward = []
+
+        def op(x):
+            y = T.softmax(x, axis=axis)
+            forward.append(splits[0])
+            return y
+
         self.inline_and_split(monkeypatch, splits, parts, lambda: self.outputs_and_grads(op, [x]))
+        assert splits[0] == forward[-1], "the backward split"
 
     @pytest.mark.parametrize("parts", [2, 3])
     @pytest.mark.parametrize("training", [True, False])
