@@ -31,7 +31,12 @@ def select_matches(cfg, conf: np.ndarray):
 def match_coordinates(width: int, j1: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Refined image-1 pixel coordinates (x, y) of matches ending in cells
     ``j1`` of a grid laid out in rows of ``width // COARSE_STRIDE`` cells,
-    ``width`` being the image width in pixels."""
+    ``width`` being the image width in pixels, a positive multiple of
+    ``COARSE_STRIDE``; ``offsets`` is (len(j1), 2)."""
+    if not isinstance(width, (int, np.integer)) or width <= 0 or width % COARSE_STRIDE:
+        raise ValueError(f"width must be a positive int multiple of {COARSE_STRIDE}; got {width!r}")
+    if np.shape(offsets) != (len(j1), 2):
+        raise ValueError(f"offsets must be ({len(j1)}, 2) for {len(j1)} matches; got shape {np.shape(offsets)}")
     n = width // COARSE_STRIDE
     centre = np.stack([j1 % n, j1 // n], axis=-1) * COARSE_STRIDE + (COARSE_STRIDE - 1) / 2.0
     return centre + offsets * COARSE_STRIDE

@@ -196,12 +196,23 @@ class Matcher(Module):
 def loss(cfg, conf: Tensor, offsets: Tensor, i0: np.ndarray, j1: np.ndarray, target: np.ndarray) -> Tensor:
     """Focal coarse loss on the ground-truth cells ``(i0, j1)`` of one pair's
     confidence (1, L, L) plus the L2 loss of ``offsets`` against ``target``,
-    an array of the same shape."""
+    an array of the same shape.  ``i0`` and ``j1`` are integer arrays of one
+    length whose entries lie in [0, L)."""
     if conf.shape[0] != 1:
         raise ValueError(f"loss takes the confidence (1, L, L) of one pair; got shape {conf.shape}")
     if target.shape != offsets.shape:
         raise ValueError(f"target shape {target.shape} differs from offsets shape {offsets.shape}")
     n_cells = conf.shape[1]
+    i0, j1 = np.asarray(i0), np.asarray(j1)
+    if i0.ndim != 1 or i0.shape != j1.shape:
+        raise ValueError(f"i0 and j1 must be 1-D of one length; got shapes {i0.shape} and {j1.shape}")
+    for name, cells in (("i0", i0), ("j1", j1)):
+        if cells.dtype.kind not in "iu":
+            raise ValueError(f"{name} must hold integer cell indices; got dtype {cells.dtype}")
+        outside = (cells < 0) | (cells >= n_cells)
+        if outside.any():
+            at = int(np.argmax(outside))
+            raise ValueError(f"{name}[{at}] = {cells[at]} is not a cell of [0, {n_cells})")
     p = T.clamp_min(T.gather_rows(conf.reshape(-1), i0 * n_cells + j1), 1e-12)
     coarse = (((1.0 - p) ** cfg.focal_gamma) * T.log(p)).mean() * (-cfg.focal_alpha)
     err = offsets - Tensor(target.astype(offsets.dtype))

@@ -26,13 +26,6 @@ def kaiming_normal(rng: np.random.Generator, shape, fan_in: int, gain: float = n
     return rng.normal(0.0, std, size=shape)
 
 
-def _check_sizes(layer: str, **sizes) -> None:
-    """Raise ValueError naming the first of `sizes` that is not an int >= 1."""
-    for name, v in sizes.items():
-        if not isinstance(v, (int, np.integer)) or v < 1:
-            raise ValueError(f"{layer}: {name} must be an int >= 1, got {v!r}")
-
-
 class Module:
     """A tree of parameters, buffers and submodules, read from its attributes.
 
@@ -107,12 +100,12 @@ class Module:
     def zero_grad(self):
         """Release every parameter's gradient; each is None until backward reaches it."""
         for p in self.parameters():
-            p.zero_grad()
+            p.grad = None
 
 
 class Linear(Module):
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator, gain: float):
-        _check_sizes("Linear", in_features=in_features, out_features=out_features)
+        T._check_ints("Linear", 1, in_features=in_features, out_features=out_features)
         self.weight = Parameter(kaiming_normal(rng, (out_features, in_features), in_features, gain))
         self.bias = Parameter(np.zeros(out_features, dtype=np.float32))
 
@@ -133,8 +126,8 @@ class Conv2d(Module):
         *,
         padding: int,
     ):
-        T._conv_args_check(stride, padding)
-        _check_sizes("Conv2d", in_channels=in_channels, out_channels=out_channels, kernel_size=kernel_size)
+        T._check_ints("Conv2d", 1, in_channels=in_channels, out_channels=out_channels, kernel_size=kernel_size, stride=stride)
+        T._check_ints("Conv2d", 0, padding=padding)
         fan_in = in_channels * kernel_size * kernel_size
         self.weight = Parameter(kaiming_normal(rng, (out_channels, in_channels, kernel_size, kernel_size), fan_in))
         self.stride = stride
@@ -146,7 +139,7 @@ class Conv2d(Module):
 
 class BatchNorm2d(Module):
     def __init__(self, channels: int):
-        _check_sizes("BatchNorm2d", channels=channels)
+        T._check_ints("BatchNorm2d", 1, channels=channels)
         self.gamma = Parameter(np.ones(channels, dtype=np.float32))
         self.beta = Parameter(np.zeros(channels, dtype=np.float32))
         self.running_mean = np.zeros(channels, dtype=np.float32)

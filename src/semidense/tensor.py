@@ -34,10 +34,11 @@ output and not the scores.  A leaf's node (a parameter's, say) has no
 closure, and its shape and dtype follow the tensor's `data` when that is
 reassigned.  Under `no_grad` no node is made.
 
-Gradient ownership: a leaf owns its `.grad`, a C-contiguous array of its own
-dtype and shape that callers may update in place.  It is None until
-backward first reaches the leaf, and `zero_grad` sets it to None again,
-which frees it.  One rule says who owns a gradient: a writeable gradient
+Gradient ownership: only backward gives a tensor a gradient, and
+`t.grad = None`, the one value `.grad` may be set to, releases it.  A leaf owns its
+`.grad`, a C-contiguous array of its own dtype and shape that callers may
+update in place, from when backward first reaches the leaf until it is
+released.  One rule says who owns a gradient: a writeable gradient
 belongs to the node that receives it, leaf or inner node.  An op that hands
 one array to more than one input makes it read-only first: add when both
 inputs need a gradient, and concat for its slices; tsum's broadcast view is
@@ -49,14 +50,13 @@ the input owns where the op's node owned that gradient.  A sum, a cast or
 a sum over broadcast axes that `_accum` makes is new, and so owned.  A leaf
 takes its first gradient as it is where it owns it, it is C-contiguous
 (`_owns`) and an ndarray of the leaf's dtype, and a copy otherwise; later
-gradients add into the leaf's array in place, and setting `.grad` stores
-a copy.  So a gradient's `writeable` flag tells the closure that
-receives it whether it owns it, and a write into a borrowed one raises
-instead of changing another node's gradient.  An owned gradient that is
-C-contiguous is written in place in three places only: `_accum` adds a
-later gradient into it, `mul` writes one side's product into it
-(`_into`), and `softmax` computes its input gradient in it.  A
-strided owned view is not written: a product written into one hands the
+gradients add into the leaf's array in place.  So a gradient's `writeable`
+flag tells the closure that receives it whether it owns it, and a write
+into a borrowed one raises instead of changing another node's gradient.
+An owned gradient that is C-contiguous is written in place in three
+places only: `_accum` adds a later gradient into it, `mul` writes one
+side's product into it (`_into`), and `softmax` computes its input
+gradient in it.  A strided owned view is not written: a product written into one hands the
 next op a strided gradient where a new product is C-contiguous, and the
 sums of a later batch norm then add in another order.  So every value is
 the one a new array would hold, bit for bit.  Backward sets an inner
@@ -301,11 +301,10 @@ class Tensor:
     either.  `requires_grad` is True exactly when the tensor has a node,
     which ops make for their output when recording is on and an input has
     one.  `grad` is the node's gradient: a leaf's has the shape and dtype of
-    `data` once `backward(loss)` has reached it, until `zero_grad`; an inner
-    tensor's is None again when `backward` returns.  It may be set to None,
-    or to a real array of the node's shape, of which the node keeps its own
-    C-contiguous copy in its dtype; an entry that the cast would turn into
-    inf or zero is a ValueError naming it.
+    `data` once `backward(loss)` has reached it; an inner tensor's is None
+    again when `backward` returns.  Only backward sets it, and setting it to
+    None, the one value it takes, releases it.  So `t.grad += g`, which
+    sets it, raises; `t.grad[...] += g` writes a leaf's array in place.
     """
 
     __slots__ = ("_data", "_node")
@@ -346,19 +345,11 @@ class Tensor:
 
     @grad.setter
     def grad(self, value) -> None:
-        node = self._node
-        if node is None:
-            if value is not None:
-                raise ValueError("cannot set the gradient of a tensor that does not require grad")
-            return
         if value is not None:
-            arr = np.asarray(value)
-            if arr.shape != node.shape or arr.dtype.kind not in "biuf":
-                raise ValueError(
-                    f"grad must be None or a real array of shape {node.shape}, got {arr.dtype} of shape {arr.shape}"
-                )
-            value = _fit(arr, node.dtype, "Tensor.grad")
-        node.grad = value
+            got = type(value).__name__
+            raise ValueError(f"Tensor.grad can only be set to None, which releases it; got a value of type {got}")
+        if self._node is not None:
+            self._node.grad = None
 
     @property
     def shape(self):
@@ -370,10 +361,6 @@ class Tensor:
 
     def item(self) -> float:
         return self.data.item()
-
-    def zero_grad(self) -> None:
-        """Release the gradient: `grad` is None until backward next reaches this tensor."""
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -497,11 +484,11 @@ def backward(loss: Tensor) -> None:
     "Gradient ownership" in the module docstring): a leaf takes its first
     gradient as it is where it owns it, and a copy otherwise, and adds later
     ones into it; one that backward does not reach keeps the `.grad` it had,
-    None after `zero_grad`.  A closure may write into the gradient it
-    receives only where that is writeable.  After backward every inner
-    node, the loss included, has `.grad` None, and the tape is released
-    node by node as it unwinds: a second backward through any of it raises
-    RuntimeError.
+    None after `.grad = None`, since nothing but backward sets a gradient.
+    A closure may write into the gradient it receives only where that is
+    writeable.  After backward every inner node, the loss included, has
+    `.grad` None, and the tape is released node by node as it unwinds: a
+    second backward through any of it raises RuntimeError.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -1052,15 +1039,16 @@ def l2_normalize(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _conv_args_check(stride, padding):
-    """Raise ValueError naming the first of conv2d's int arguments out of range."""
-    for name, v, least in (("stride", stride, 1), ("padding", padding, 0)):
+def _check_ints(layer: str, least: int, **values) -> None:
+    """Raise ValueError naming `layer` and the first of `values` that is not an int >= `least`."""
+    for name, v in values.items():
         if not isinstance(v, (int, np.integer)) or v < least:
-            raise ValueError(f"conv2d: {name} must be an int >= {least}, got {v!r}")
+            raise ValueError(f"{layer}: {name} must be an int >= {least}, got {v!r}")
 
 
 def _conv_shape_check(x, w, stride, padding):
-    _conv_args_check(stride, padding)
+    _check_ints("conv2d", 1, stride=stride)
+    _check_ints("conv2d", 0, padding=padding)
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"conv2d expects NCHW input and OIHW weight, got {x.shape} and {w.shape}")
     c, h, wd = x.shape[1:]

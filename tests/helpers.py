@@ -37,7 +37,7 @@ def check_gradients(builder, arrays, h=1e-4, rtol=1e-4, atol=1e-7):
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     loss = builder(*tensors)
     for t in tensors:
-        t.zero_grad()
+        t.grad = None
     T.backward(loss)
 
     def scalar_fn(*bumped):

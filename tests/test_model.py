@@ -210,3 +210,60 @@ def test_match_coordinates_of_a_non_square_pair():
     assert np.array_equal(xy[12], [3.5, 11.5])
     assert np.array_equal(np.unique(xy[:, 0]), 3.5 + 8 * np.arange(12))
     assert np.array_equal(np.unique(xy[:, 1]), 3.5 + 8 * np.arange(8))
+
+
+@pytest.mark.parametrize(
+    "i0,j1,message",
+    [
+        (np.arange(3), np.arange(2), "got shapes (3,) and (2,)"),
+        (np.arange(3.0), np.arange(3), "i0 must hold integer cell indices; got dtype float64"),
+        (np.arange(3), np.array([0, 1, 4]), "j1[2] = 4 is not a cell of [0, 4)"),  # once read as cell (i0 + 1, 0)
+        (np.array([0, -1, 2]), np.arange(3), "i0[1] = -1 is not a cell of [0, 4)"),
+    ],
+    ids=["lengths", "float", "j1-past-the-row", "i0-negative"],
+)
+def test_loss_rejects_ground_truth_cells_that_do_not_exist(i0, j1, message):
+    conf = T.Tensor(np.full((1, 4, 4), 0.25, dtype=np.float32))
+    offsets = T.Tensor(np.zeros((3, 2), dtype=np.float32))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        M.loss(load_config(), conf, offsets, i0, j1, np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize(
+    "width,offsets,message",
+    [
+        (64, np.zeros((1, 2)), "offsets must be (3, 2) for 3 matches; got shape (1, 2)"),
+        (64, np.zeros((3, 3)), "got shape (3, 3)"),
+        (60, np.zeros((3, 2)), "positive int multiple of 8; got 60"),
+        (0, np.zeros((3, 2)), "got 0"),
+        (64.0, np.zeros((3, 2)), "got 64.0"),
+    ],
+    ids=["one-offset", "three-columns", "width-60", "width-0", "width-float"],
+)
+def test_match_coordinates_rejects_offsets_or_a_width_that_do_not_fit(width, offsets, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        matching.match_coordinates(width, np.arange(3), offsets)
+
+
+def test_a_matcher_without_attention_layers_trains():
+    cfg = load_config(overrides={"image_size": 64, "num_layers": 0})
+    model = M.Matcher(cfg, np.random.default_rng(0))
+    assert not [name for name, _ in model.named_parameters() if name.startswith("attn")]
+    fused, conf = model.features(np.random.default_rng(1).random((2, 1, 64, 64), dtype=np.float32))
+    cells = np.arange(3)
+    offsets = model.head_offsets(cells, cells, fused)
+    T.backward(M.loss(cfg, conf, offsets, cells, cells, np.zeros((3, 2))))
+    assert all(p.grad is not None and np.isfinite(p.grad).all() for p in model.parameters())
+
+
+def test_an_inference_with_no_match_above_theta_c_gives_empty_matches():
+    cfg = load_config(overrides={"image_size": 64, "theta_c": 1.0})
+    model = M.Matcher(cfg, np.random.default_rng(0)).train(False)
+    images = np.random.default_rng(1).random((2, 1, 64, 64), dtype=np.float32)
+    model.calibrate_batchnorm(images)
+    with T.no_grad():
+        fused, conf = model.features(images)
+        i0, j1, finite = matching.select_matches(cfg, conf.data)
+        offsets = model.head_offsets(i0, j1, fused)
+    xy1 = matching.match_coordinates(cfg.image_size, j1, offsets.data)
+    assert i0.shape == j1.shape == (0,) and offsets.shape == xy1.shape == (0, 2) and finite
